@@ -490,555 +490,6 @@ let train_bench () =
          ("configs", List (List.map row rows)) ]);
   Printf.printf "wrote BENCH_train.json\n%!"
 
-(* --- serving layer: throughput / cache / latency --------------------------------------------- *)
-
-(* Actual online core count, as distinct from what the OCaml runtime
-   recommends: on a cgroup-limited CI runner the two can disagree, and the
-   benchmark artifacts must record the truth so "pool beats sequential" is
-   only asserted where it is physically possible. *)
-let cores_online () =
-  match open_in "/proc/cpuinfo" with
-  | exception Sys_error _ -> Domain.recommended_domain_count ()
-  | ic ->
-      let n = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line >= 9 && String.sub line 0 9 = "processor" then
-             incr n
-         done
-       with End_of_file -> ());
-      close_in ic;
-      if !n > 0 then !n else Domain.recommended_domain_count ()
-
-let serve_bench () =
-  header "bench_serve"
-    "Serving layer: req/s, cache hit rate and latency percentiles by worker count";
-  let a = shared_artifacts () in
-  let corpus =
-    List.map
-      (fun (toks, _) -> String.concat " " toks)
-      (a.Pipeline.synthesized @ a.Pipeline.paraphrases)
-  in
-  let n_requests = if !quick then 400 else 1500 in
-  let requests =
-    Genie_serve.Traffic.generate
-      ~rng:(Genie_util.Rng.create 23)
-      ~utterances:corpus n_requests
-  in
-  let distinct =
-    List.length
-      (List.sort_uniq compare
-         (List.map (fun (r : Genie_serve.Request.t) -> r.Genie_serve.Request.utterance) requests))
-  in
-  let cores = Domain.recommended_domain_count () in
-  let online = cores_online () in
-  Printf.printf
-    "%d requests over %d distinct utterances (zipf s=1.1), %d core(s) \
-     recommended, %d online\n\n"
-    n_requests distinct cores online;
-  Printf.printf "%-14s %10s %10s %10s %10s %10s %10s %10s\n" "workers" "req/s"
-    "cumul r/s" "hit rate" "p50 ms" "p95 ms" "p99 ms" "mean ms";
-  let open Genie_serve.Server in
-  let run_config (workers, batched) =
-    let server = of_artifacts ~workers ~cache_capacity:4096 a in
-    ignore (run_batch ~batched server requests);
-    let s = stats server in
-    shutdown server;
-    let label =
-      (if workers <= 1 then "seq" else string_of_int workers)
-      ^ if batched then "+batched" else ""
-    in
-    Printf.printf "%-14s %10.0f %10.0f %9.1f%% %10.2f %10.2f %10.2f %10.2f\n%!"
-      label s.throughput_rps s.cumulative_rps (100. *. s.hit_rate) s.p50_ms
-      s.p95_ms s.p99_ms s.mean_ms;
-    (label, workers, batched, s)
-  in
-  let rows =
-    List.map run_config
-      [ (0, false); (0, true); (2, false); (2, true); (4, false); (4, true);
-        (8, false); (8, true) ]
-  in
-  let find w b =
-    List.find_opt (fun (_, w', b', _) -> w' = w && b' = b) rows
-    |> Option.map (fun (_, _, _, s) -> s)
-  in
-  (match (find 0 false, find 4 false) with
-  | Some seq, Some four when seq.throughput_rps > 0.0 ->
-      Printf.printf "\n4-worker speedup over sequential: %.2fx\n%!"
-        (four.throughput_rps /. seq.throughput_rps);
-      if online < 4 then
-        Printf.printf
-          "(only %d core(s) online: worker domains time-share and cannot \
-           speed up CPU-bound decoding; run on >= 4 cores to see the \
-           parallel speedup)\n%!"
-          online
-  | _ -> ());
-  let open Genie_util.Json_lite in
-  let row (label, workers, batched, (s : stats)) =
-    Obj
-      [ ("label", String label);
-        ("workers", Int workers);
-        ("batched", Bool batched);
-        ("throughput_rps", Float s.throughput_rps);
-        ("cumulative_rps", Float s.cumulative_rps);
-        ("total_seconds", Float s.total_seconds);
-        ("batches", Int s.batches);
-        ("hit_rate", Float s.hit_rate);
-        ("cache_hits", Int s.cache_hits);
-        ("cache_misses", Int s.cache_misses);
-        ("cache_evictions", Int s.cache_evictions);
-        ("p50_ms", Float s.p50_ms);
-        ("p95_ms", Float s.p95_ms);
-        ("p99_ms", Float s.p99_ms);
-        ("mean_ms", Float s.mean_ms);
-        ("errors", Int s.errors);
-        ("no_parse", Int s.no_parse) ]
-  in
-  (* backend comparison: the same traffic through the Model interface,
-     aligner vs a (briefly trained) seq2seq — measures the per-request cost
-     of batched neural decode relative to the statistical decoder, not
-     parse accuracy *)
-  Printf.printf "\n%-14s %10s %10s %10s %10s %10s\n" "backend" "req/s"
-    "hit rate" "p50 ms" "p95 ms" "ok";
-  let lib = a.Pipeline.lib in
-  let nn_pairs =
-    List.filteri
-      (fun i _ -> i < if !quick then 120 else 400)
-      (List.map
-         (fun (toks, p) ->
-           (toks, Nn_syntax.to_tokens lib (Canonical.normalize lib p)))
-         (a.Pipeline.synthesized @ a.Pipeline.paraphrases))
-  in
-  let seq2seq =
-    let src_vocab = Genie_nn.Vocab.of_tokens (List.concat_map fst nn_pairs) in
-    let tgt_vocab = Genie_nn.Vocab.of_tokens (List.concat_map snd nn_pairs) in
-    let m =
-      Genie_nn.Seq2seq.create
-        ~cfg:
-          { Genie_nn.Seq2seq.default_config with
-            Genie_nn.Seq2seq.seed = 17;
-            dropout = 0.0 }
-        ~src_vocab ~tgt_vocab ()
-    in
-    Genie_nn.Seq2seq.train ~epochs:(if !quick then 1 else 2) ~lr:5e-3 ~batch:32
-      ~micro:8 m nn_pairs;
-    m
-  in
-  let backend_requests =
-    List.filteri (fun i _ -> i < if !quick then 200 else 600) requests
-  in
-  let run_backend (label, model, workers) =
-    let server = create ~lib ~model ~workers ~cache_capacity:4096 () in
-    ignore (run_batch ~batched:true server backend_requests);
-    let s = stats server in
-    shutdown server;
-    Printf.printf "%-14s %10.0f %9.1f%% %10.2f %10.2f %10d\n%!" label
-      s.throughput_rps (100. *. s.hit_rate) s.p50_ms s.p95_ms s.ok;
-    (label, workers, s)
-  in
-  let module Model = Genie_parser_model.Model in
-  let backend_rows =
-    List.map run_backend
-      [ ("aligner/seq", Model.of_aligner a.Pipeline.model, 0);
-        ("aligner/4w", Model.of_aligner a.Pipeline.model, 4);
-        ("seq2seq/seq", Model.of_seq2seq ~max_len:48 ~lib seq2seq, 0);
-        ("seq2seq/4w", Model.of_seq2seq ~max_len:48 ~lib seq2seq, 4) ]
-  in
-  let backend_row (label, workers, (s : stats)) =
-    Obj
-      [ ("label", String label);
-        ("model_kind", String s.model_kind);
-        ("workers", Int workers);
-        ("throughput_rps", Float s.throughput_rps);
-        ("hit_rate", Float s.hit_rate);
-        ("p50_ms", Float s.p50_ms);
-        ("p95_ms", Float s.p95_ms);
-        ("p99_ms", Float s.p99_ms);
-        ("mean_ms", Float s.mean_ms);
-        ("ok", Int s.ok);
-        ("no_parse", Int s.no_parse);
-        ("errors", Int s.errors) ]
-  in
-  write_file "BENCH_serve.json"
-    (Obj
-       [ ("experiment", String "bench_serve");
-         ("requests", Int n_requests);
-         ("distinct_utterances", Int distinct);
-         ("zipf_s", Float 1.1);
-         ("cores_recommended", Int cores);
-         ("cores_online", Int online);
-         ("configs", List (List.map row rows));
-         ("backend_requests", Int (List.length backend_requests));
-         ("backends", List (List.map backend_row backend_rows)) ]);
-  Printf.printf "wrote BENCH_serve.json\n%!"
-
-(* --- network serving: daemon + loadgen over loopback ------------------------------ *)
-
-(* The tentpole experiment: the TCP front end's micro-batched admission
-   versus per-request pool crossings, measured end to end over loopback
-   with the open-loop Zipfian load generator. Every configuration's
-   response digest must equal the in-process replay — the benchmark doubles
-   as a correctness check of the whole wire path. *)
-let net_bench () =
-  header "bench_net"
-    "Network serving: loopback daemon + loadgen, micro-batched vs per-request admission";
-  let a = shared_artifacts () in
-  let corpus =
-    List.map
-      (fun (toks, _) -> String.concat " " toks)
-      (a.Pipeline.synthesized @ a.Pipeline.paraphrases)
-  in
-  let n_requests = if !quick then 250 else 800 in
-  let users = 8 in
-  let lg_cfg port =
-    { Genie_net.Loadgen.default_config with
-      Genie_net.Loadgen.port;
-      users;
-      requests = n_requests;
-      seed = 23 }
-  in
-  (* the ground truth every network run must reproduce *)
-  let expected_digest =
-    let reqs =
-      Genie_net.Loadgen.expected_requests ~utterances:corpus (lg_cfg 0)
-    in
-    let server = Genie_serve.Server.of_artifacts ~workers:0 a in
-    let resps = Genie_serve.Server.run_batch ~batched:true server reqs in
-    Genie_serve.Server.shutdown server;
-    Genie_net.Codec.digest_of_responses resps
-  in
-  let cores = Domain.recommended_domain_count () in
-  let online = cores_online () in
-  Printf.printf
-    "%d requests, %d users, loopback; %d core(s) recommended, %d online\n"
-    n_requests users cores online;
-  Printf.printf "expected digest %s\n\n" expected_digest;
-  Printf.printf "%-22s %8s %9s %9s %9s %9s %9s %8s\n" "config" "req/s"
-    "p50 ms" "p95 ms" "p99 ms" "qwait p95" "batches" "digest";
-  let run_config (workers, window_ms, batch_max, label) =
-    let server = Genie_serve.Server.of_artifacts ~workers a in
-    let d =
-      Genie_net.Daemon.create ~server
-        { Genie_net.Daemon.default_config with
-          Genie_net.Daemon.batch_window_ms = window_ms;
-          batch_max;
-          queue_capacity = max 1024 n_requests }
-    in
-    let port = Genie_net.Daemon.port d in
-    let dom = Domain.spawn (fun () -> Genie_net.Daemon.run d) in
-    let r = Genie_net.Loadgen.run ~utterances:corpus (lg_cfg port) in
-    Genie_net.Daemon.request_drain d;
-    Domain.join dom;
-    Genie_serve.Server.shutdown server;
-    let ds = Genie_net.Daemon.stats d in
-    let ok = r.Genie_net.Loadgen.digest = expected_digest in
-    Printf.printf "%-22s %8.0f %9.2f %9.2f %9.2f %9.2f %9d %8s\n%!" label
-      r.Genie_net.Loadgen.rps r.Genie_net.Loadgen.latency_p50_ms
-      r.Genie_net.Loadgen.latency_p95_ms r.Genie_net.Loadgen.latency_p99_ms
-      r.Genie_net.Loadgen.queue_wait_p95_ms ds.Genie_net.Daemon.batches
-      (if ok then "match" else "MISMATCH");
-    if not ok then begin
-      Printf.eprintf "bench_net: digest mismatch on %s\n" label;
-      exit 3
-    end;
-    (label, workers, window_ms, batch_max, r, ds)
-  in
-  let configs =
-    List.concat_map
-      (fun w ->
-        let name = if w <= 1 then "seq" else Printf.sprintf "%dw" w in
-        (w, 0.0, 1, name ^ "/per-request")
-        :: List.map
-             (fun win ->
-               (w, win, 64, Printf.sprintf "%s/batched w=%.0fms" name win))
-             [ 0.0; 2.0; 8.0 ])
-      [ 0; 2; 4 ]
-  in
-  let rows = List.map run_config configs in
-  let pick p =
-    List.find_opt (fun (_, w, win, bm, _, _) -> p (w, win, bm)) rows
-    |> Option.map (fun (_, _, _, _, r, _) -> r.Genie_net.Loadgen.rps)
-  in
-  (match
-     ( pick (fun (w, _, bm) -> w = 4 && bm = 1),
-       pick (fun (w, win, bm) -> w = 4 && bm > 1 && win = 2.0) )
-   with
-  | Some per_req, Some batched when per_req > 0.0 ->
-      Printf.printf
-        "\n4-worker micro-batched vs per-request pool crossings: %.2fx\n%!"
-        (batched /. per_req)
-  | _ -> ());
-  let open Genie_util.Json_lite in
-  let row (label, workers, window_ms, batch_max, (r : Genie_net.Loadgen.report),
-           (ds : Genie_net.Daemon.stats)) =
-    Obj
-      [ ("label", String label);
-        ("workers", Int workers);
-        ("batch_window_ms", Float window_ms);
-        ("batch_max", Int batch_max);
-        ("rps", Float r.Genie_net.Loadgen.rps);
-        ("received", Int r.Genie_net.Loadgen.received);
-        ("ok", Int r.Genie_net.Loadgen.ok);
-        ("overloaded", Int r.Genie_net.Loadgen.overloaded);
-        ("latency_mean_ms", Float r.Genie_net.Loadgen.latency_mean_ms);
-        ("latency_p50_ms", Float r.Genie_net.Loadgen.latency_p50_ms);
-        ("latency_p95_ms", Float r.Genie_net.Loadgen.latency_p95_ms);
-        ("latency_p99_ms", Float r.Genie_net.Loadgen.latency_p99_ms);
-        ("queue_wait_p50_ms", Float r.Genie_net.Loadgen.queue_wait_p50_ms);
-        ("queue_wait_p95_ms", Float r.Genie_net.Loadgen.queue_wait_p95_ms);
-        ("queue_wait_p99_ms", Float r.Genie_net.Loadgen.queue_wait_p99_ms);
-        ("digest", String r.Genie_net.Loadgen.digest);
-        ("digest_match", Bool (r.Genie_net.Loadgen.digest = expected_digest));
-        ("batches", Int ds.Genie_net.Daemon.batches);
-        ("max_batch", Int ds.Genie_net.Daemon.max_batch);
-        ( "batch_histogram",
-          List
-            (List.map
-               (fun (size, count) -> List [ Int size; Int count ])
-               ds.Genie_net.Daemon.batch_histogram) );
-        ("shed", Int ds.Genie_net.Daemon.shed);
-        ("refused_draining", Int ds.Genie_net.Daemon.refused_draining);
-        ("dropped_responses", Int ds.Genie_net.Daemon.dropped_responses);
-        ("drained", Bool ds.Genie_net.Daemon.drained) ]
-  in
-  write_file "BENCH_net.json"
-    (Obj
-       [ ("experiment", String "bench_net");
-         ("requests", Int n_requests);
-         ("users", Int users);
-         ("zipf_s", Float 1.1);
-         ("cores_recommended", Int cores);
-         ("cores_online", Int online);
-         ("expected_digest", String expected_digest);
-         ("configs", List (List.map row rows)) ]);
-  Printf.printf "wrote BENCH_net.json\n%!"
-
-(* --- serving layer under injected faults ----------------------------------------------------- *)
-
-(* Throughput and tail latency per fault class against a clean baseline, all
-   driven by seeded schedules so every run (and every machine) sees the same
-   failure decisions. Latency-class schedules use [sleep=true]: the injected
-   delay is real wall-clock time, so the throughput cost is visible. *)
-let faults_bench () =
-  header "bench_faults"
-    "Serving layer under seeded fault injection: throughput / tail latency per fault class";
-  let a = shared_artifacts () in
-  let corpus =
-    List.map
-      (fun (toks, _) -> String.concat " " toks)
-      (a.Pipeline.synthesized @ a.Pipeline.paraphrases)
-  in
-  let n_requests = if !quick then 300 else 1000 in
-  let n_workers = 2 in
-  let gen ?deadline_ms () =
-    Genie_serve.Traffic.generate ?deadline_ms
-      ~rng:(Genie_util.Rng.create 23)
-      ~utterances:corpus n_requests
-  in
-  let fault spec = Genie_serve.Fault.create spec in
-  let base = Genie_serve.Fault.default in
-  let configs =
-    [ ("clean", Genie_serve.Fault.none, None, None);
-      ( "crash",
-        fault { base with Genie_serve.Fault.seed = 42; crash_rate = 0.1 },
-        None,
-        None );
-      ( "latency",
-        fault
-          { base with
-            Genie_serve.Fault.seed = 42;
-            latency_rate = 0.3;
-            latency_ns = 2e6;
-            sleep = true },
-        None,
-        None );
-      ( "drop",
-        fault { base with Genie_serve.Fault.seed = 42; drop_rate = 0.05 },
-        None,
-        None );
-      ( "deadline",
-        fault
-          { base with
-            Genie_serve.Fault.seed = 42;
-            latency_rate = 1.0;
-            latency_ns = 3e6;
-            sleep = true },
-        None,
-        Some 2.0 );
-      ("overload", Genie_serve.Fault.none, Some (n_requests / 16), None) ]
-  in
-  (* The overload class replays its batch twice: the first pass warms the
-     degraded-answer cache, so the second pass shows cache-only degradation
-     (not just shedding) for the popular utterances. *)
-  let batches label = if label = "overload" then 2 else 1 in
-  Printf.printf "%d requests, %d workers per config\n\n" n_requests n_workers;
-  Printf.printf "%-10s %10s %10s %10s | %6s %6s %6s %6s %6s %6s\n" "class"
-    "req/s" "p50 ms" "p99 ms" "ok" "t/o" "shed" "retry" "degr" "err";
-  let open Genie_serve.Server in
-  let run_config (label, fault, admission_capacity, deadline_ms) =
-    let server =
-      of_artifacts ~workers:n_workers ~cache_capacity:4096 ~fault
-        ?admission_capacity ~max_retries:2 ~retry_backoff_ms:0.5 a
-    in
-    for _ = 1 to batches label do
-      ignore (run_batch server (gen ?deadline_ms ()))
-    done;
-    let s = stats server in
-    shutdown server;
-    Printf.printf "%-10s %10.0f %10.2f %10.2f | %6d %6d %6d %6d %6d %6d\n%!"
-      label s.throughput_rps s.p50_ms s.p99_ms s.ok s.timeouts s.shed s.retries
-      s.degraded s.errors;
-    (label, fault, admission_capacity, deadline_ms, s)
-  in
-  let rows = List.map run_config configs in
-  (match rows with
-  | ("clean", _, _, _, clean) :: rest when clean.throughput_rps > 0.0 ->
-      print_newline ();
-      List.iter
-        (fun (label, _, _, _, (s : stats)) ->
-          Printf.printf "%-10s throughput vs clean: %5.1f%%\n%!" label
-            (100.0 *. s.throughput_rps /. clean.throughput_rps))
-        rest
-  | _ -> ());
-  let open Genie_util.Json_lite in
-  let row (label, fault, admission, deadline_ms, (s : stats)) =
-    Obj
-      [ ("class", String label);
-        ("fault_spec", String (Genie_serve.Fault.to_string fault));
-        ( "admission_capacity",
-          match admission with Some c -> Int c | None -> Null );
-        ("deadline_ms", match deadline_ms with Some d -> Float d | None -> Null);
-        ("batches", Int (batches label));
-        ("throughput_rps", Float s.throughput_rps);
-        ("p50_ms", Float s.p50_ms);
-        ("p95_ms", Float s.p95_ms);
-        ("p99_ms", Float s.p99_ms);
-        ("mean_ms", Float s.mean_ms);
-        ("requests", Int s.requests);
-        ("ok", Int s.ok);
-        ("no_parse", Int s.no_parse);
-        ("errors", Int s.errors);
-        ("timeouts", Int s.timeouts);
-        ("shed", Int s.shed);
-        ("retries", Int s.retries);
-        ("degraded", Int s.degraded);
-        ("hit_rate", Float s.hit_rate) ]
-  in
-  write_file "BENCH_faults.json"
-    (Obj
-       [ ("experiment", String "bench_faults");
-         ("requests", Int n_requests);
-         ("workers", Int n_workers);
-         ("traffic_seed", Int 23);
-         ("cores", Int (Domain.recommended_domain_count ()));
-         ("configs", List (List.map row rows)) ]);
-  Printf.printf "\nwrote BENCH_faults.json\n%!"
-
-(* --- observability: tracing overhead and trace determinism ----------------------------------- *)
-
-(* Two claims to defend with numbers: attaching a tracer costs < 5% of
-   serving throughput, and the structural trace digest is identical across
-   worker counts. The off/on arms alternate within each repetition so CPU
-   frequency drift hits both equally; each arm keeps its best of [reps]. *)
-let observe_bench () =
-  header "bench_observe"
-    "Observability: tracing overhead (on vs off) and cross-worker trace determinism";
-  let a = shared_artifacts () in
-  let corpus =
-    List.map
-      (fun (toks, _) -> String.concat " " toks)
-      (a.Pipeline.synthesized @ a.Pipeline.paraphrases)
-  in
-  let n_requests = if !quick then 300 else 1000 in
-  let requests =
-    Genie_serve.Traffic.generate
-      ~rng:(Genie_util.Rng.create 23)
-      ~utterances:corpus n_requests
-  in
-  let open Genie_serve.Server in
-  let run_once ~workers ~traced =
-    let tracer =
-      if traced then
-        Genie_observe.Tracer.create ~seed:7 ~capacity:(n_requests * 10)
-          ~slots:(max 1 workers + 1) ()
-      else Genie_observe.Tracer.disabled
-    in
-    let server = of_artifacts ~workers ~cache_capacity:4096 ~tracer a in
-    ignore (run_batch server requests);
-    let s = stats server in
-    shutdown server;
-    (s.throughput_rps, if traced then Genie_observe.Tracer.spans tracer else [])
-  in
-  let reps = 3 in
-  let per_config workers =
-    let best_off = ref 0.0 and best_on = ref 0.0 and spans = ref [] in
-    for _ = 1 to reps do
-      let off, _ = run_once ~workers ~traced:false in
-      if off > !best_off then best_off := off;
-      let on, sp = run_once ~workers ~traced:true in
-      if on > !best_on then best_on := on;
-      spans := sp
-    done;
-    let overhead_pct =
-      if !best_off > 0.0 then
-        Float.max 0.0 (100.0 *. (!best_off -. !best_on) /. !best_off)
-      else 0.0
-    in
-    let digest = Genie_observe.Export.digest ~strict:true !spans in
-    (workers, !best_off, !best_on, overhead_pct, List.length !spans, digest)
-  in
-  Printf.printf "%d requests, best of %d runs per arm\n\n" n_requests reps;
-  Printf.printf "%-10s %12s %12s %10s %8s  %s\n" "workers" "off req/s"
-    "on req/s" "overhead" "spans" "digest";
-  let rows = List.map per_config [ 0; 2; 4 ] in
-  List.iter
-    (fun (w, off, on, ov, n, d) ->
-      Printf.printf "%-10s %12.0f %12.0f %9.1f%% %8d  %s\n%!"
-        (if w <= 1 then "seq" else string_of_int w)
-        off on ov n d)
-    rows;
-  let digests = List.map (fun (_, _, _, _, _, d) -> d) rows in
-  let deterministic =
-    match digests with
-    | [] -> true
-    | d0 :: rest -> List.for_all (String.equal d0) rest
-  in
-  let target_pct = 5.0 in
-  let worst =
-    List.fold_left (fun acc (_, _, _, ov, _, _) -> Float.max acc ov) 0.0 rows
-  in
-  let within_target = worst <= target_pct in
-  Printf.printf "\nworst-case tracing overhead: %.1f%% (target < %.0f%%) -> %s\n"
-    worst target_pct
-    (if within_target then "within target" else "EXCEEDS TARGET");
-  Printf.printf "trace digest identical across worker counts: %b\n%!"
-    deterministic;
-  let open Genie_util.Json_lite in
-  let row (w, off, on, ov, n, d) =
-    Obj
-      [ ("workers", Int w);
-        ("throughput_rps_off", Float off);
-        ("throughput_rps_on", Float on);
-        ("overhead_pct", Float ov);
-        ("spans", Int n);
-        ("digest", String d) ]
-  in
-  write_file "BENCH_observe.json"
-    (Obj
-       [ ("experiment", String "bench_observe");
-         ("requests", Int n_requests);
-         ("reps", Int reps);
-         ("traffic_seed", Int 23);
-         ("tracer_seed", Int 7);
-         ("cores", Int (Domain.recommended_domain_count ()));
-         ("overhead_target_pct", Float target_pct);
-         ("worst_overhead_pct", Float worst);
-         ("within_target", Bool within_target);
-         ("digest_deterministic", Bool deterministic);
-         ("configs", List (List.map row rows)) ]);
-  Printf.printf "wrote BENCH_observe.json\n%!"
-
 (* --- sharded synthesis pipeline -------------------------------------------------------------- *)
 
 (* Constants and setup shared by [synth_bench] and the [--spill-phase] child
@@ -1712,10 +1163,6 @@ let () =
       ("fig9_aggregation", fig9_aggregation);
       ("bench_mqan_small", mqan_small);
       ("bench_train", train_bench);
-      ("bench_serve", serve_bench);
-      ("bench_net", net_bench);
-      ("bench_faults", faults_bench);
-      ("bench_observe", observe_bench);
       ("bench_synth", synth_bench);
       ("bench_compile", compile_bench) ]
   in

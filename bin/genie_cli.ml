@@ -978,9 +978,9 @@ let serve_bench_cmd =
         (a.Genie_core.Pipeline.synthesized @ a.Genie_core.Pipeline.paraphrases)
     in
     let fault =
-      if faults = "" then Genie_serve.Fault.none
+      if faults = "" then Genie_conc.Fault.none
       else
-        match Genie_serve.Fault.of_string faults with
+        match Genie_conc.Fault.of_string faults with
         | Ok f -> f
         | Error e ->
             Printf.eprintf "bad --faults spec: %s\n" e;
@@ -1001,8 +1001,8 @@ let serve_bench_cmd =
     in
     Printf.printf "replaying %d requests over %d distinct utterances (zipf s=%.2f)\n"
       requests distinct zipf;
-    if Genie_serve.Fault.active fault then
-      Printf.printf "fault schedule: %s\n" (Genie_serve.Fault.to_string fault);
+    if Genie_conc.Fault.active fault then
+      Printf.printf "fault schedule: %s\n" (Genie_conc.Fault.to_string fault);
     Printf.printf "%d core(s) available to the runtime\n\n"
       (Domain.recommended_domain_count ());
     let open Genie_serve.Server in
@@ -1045,7 +1045,7 @@ let serve_bench_cmd =
       (* Fault-free traces must be structurally identical across worker
          counts; under faults, retry interleaving may legitimately move
          cache hits around, so digests are reported but not enforced. *)
-      let strict = not (Genie_serve.Fault.active fault) in
+      let strict = not (Genie_conc.Fault.active fault) in
       let digests =
         List.map
           (fun (w, spans) ->
@@ -1346,7 +1346,7 @@ let loadgen_cmd =
       end;
       let reqs = Genie_net.Loadgen.expected_requests ~utterances:corpus cfg in
       let server = Genie_serve.Server.of_artifacts ~workers:0 a in
-      let resps = Genie_serve.Server.run_batch ~batched:true server reqs in
+      let resps = Genie_serve.Server.run_batch server reqs in
       Genie_serve.Server.shutdown server;
       let expected = Genie_net.Codec.digest_of_responses resps in
       if expected <> r.digest then begin

@@ -9,11 +9,13 @@
     the test suite assert exact outcomes rather than probabilistic ones. *)
 
 exception Injected_crash
-(** Raised by {!Engine.process} in place of a worker exception. *)
+(** Raised by the serving engine ([Genie_serve.Engine.process]) in place of
+    a worker exception. *)
 
 exception Injected_drop
-(** Recorded by {!Pool} (and the sequential path) in place of handling a
-    request, simulating a channel message that was lost in flight. *)
+(** Raised by the serving layer's per-attempt drop check, and recorded by a
+    {!Pool} [fault_hook], in place of handling a request — simulating a
+    channel message that was lost in flight. *)
 
 type spec = {
   seed : int;  (** selects which requests each fault class hits *)

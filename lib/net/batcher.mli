@@ -1,13 +1,13 @@
-(** Bounded admission queue with micro-batch draining — the heart of the
-    network front end's "make the pool win" story.
+(** Bounded admission queue with micro-batch draining for the network
+    front end.
 
     Requests are admitted into one FIFO as they arrive off the sockets. The
     dispatcher takes them out again in micro-batches: a batch becomes {!due}
     when the queue holds [batch_max] requests, when the oldest waiting
     request has aged past the batch window, or when the batcher is draining
-    (shutdown wants the queue empty, window be damned). One batch then costs
-    one {!Genie_serve.Server.run_batch} call — one pool crossing per worker
-    — instead of a crossing per request.
+    (shutdown wants the queue empty, window be damned). One batch is then
+    served by one {!Genie_serve.Server.run_batch} call (through the worker
+    pool when there is one) while the event loop waits.
 
     The batcher is a passive, single-owner state machine over an injected
     clock: the daemon drives it from its event loop with real timestamps,

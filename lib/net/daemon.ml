@@ -232,7 +232,7 @@ let dispatch t ~now_ns =
         batch
     in
     let t0 = Tracer.now_ns () in
-    let resps = Server.run_batch ~batched:true t.server reqs in
+    let resps = Server.run_batch t.server reqs in
     let t1 = Tracer.now_ns () in
     if Tracer.enabled t.tracer then begin
       let seed = Tracer.seed t.tracer in

@@ -9,9 +9,10 @@
     - admits decoded requests into the bounded queue (answering [Shed] /
       draining refusals inline with an [overloaded] response),
     - when a micro-batch comes due — queue at [batch_max], oldest request
-      older than the batch window, or draining — takes it and routes it
-      through {!Genie_serve.Server.run_batch}[ ~batched:true], one pool
-      crossing per worker,
+      older than the batch window, or draining — takes it and serves it
+      with {!Genie_serve.Server.run_batch}, which runs each request through
+      its own {!Genie_serve.Engine.process} call (so a response's
+      [rs_total_ns] includes its model decode),
     - writes each response frame back on the connection that sent the
       request (client request ids are scoped per connection; the daemon
       renumbers internally and restores the client's id on the way out).

@@ -4,7 +4,7 @@
    and each node's closure scatters its gradient into its parents. Gradients
    are verified against finite differences in the test suite.
 
-   Every operation is row-batched: values are [rows x cols] tensors and all
+   Every operation is row-batched — values are [rows x cols] tensors and all
    ops except the matmul family are row-parallel (row [r] of the output
    depends only on row [r] of the inputs). The batched kernels accumulate in
    ascending inner index, so a batch of one replays exactly the scalar

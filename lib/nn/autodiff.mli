@@ -4,7 +4,7 @@
     each node's closure scatters its gradient into its parents. Gradients are
     verified against finite differences in the test suite.
 
-    Every operation is row-batched: a node's value is a [rows x cols] tensor
+    Every operation is row-batched — a node's value is a [rows x cols] tensor
     and every op except the matmul family is row-parallel. All kernels
     accumulate in ascending inner index, so a one-row batch replays exactly
     the scalar operation sequence of the historical per-example ops --

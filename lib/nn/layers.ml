@@ -1,5 +1,5 @@
 (* Neural layers built on the autodiff tape: parameters, linear maps,
-   embeddings, and an LSTM cell. Every layer is row-batched: feed it
+   embeddings, and an LSTM cell. Every layer is row-batched — feed it
    [batch x dim] nodes and it produces [batch x dim'] nodes; a one-row batch
    is bitwise identical to the historical per-example path. *)
 

@@ -1,5 +1,5 @@
 (** Neural layers on the autodiff tape: parameters, linear maps, embeddings,
-    an LSTM cell and dot-product attention. Every layer is row-batched: feed
+    an LSTM cell and dot-product attention. Every layer is row-batched — feed
     [batch x dim] nodes, get [batch x dim'] nodes; a one-row batch is bitwise
     identical to the historical per-example path. *)
 

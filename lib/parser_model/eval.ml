@@ -189,7 +189,7 @@ let evaluate_batched lib
       predict_batch (List.map (fun e -> e.Genie_dataset.Example.tokens) examples)
     in
     if List.length predictions <> n then
-      invalid_arg "Eval.evaluate_batched: prediction count mismatch";
+      invalid_arg "prediction count mismatch in Eval.evaluate_batched";
     metrics_of_counts (count_chunk lib examples predictions)
   end
 
@@ -225,7 +225,7 @@ let evaluate_sharded ?(workers = 0) ?(shard_size = 32) lib
             (List.map (fun e -> e.Genie_dataset.Example.tokens) shard)
         in
         if List.length predictions <> List.length shard then
-          invalid_arg "Eval.evaluate_sharded: prediction count mismatch";
+          invalid_arg "prediction count mismatch in Eval.evaluate_sharded";
         count_chunk lib shard predictions)
       shards
   in

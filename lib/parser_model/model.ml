@@ -28,7 +28,6 @@ type t = {
   kind : kind;
   digest : string;
   predict : ?scope:Genie_observe.Tracer.scope -> string list -> prediction;
-  predict_batch : string list list -> prediction list;
   fork : unit -> t;
 }
 
@@ -38,7 +37,6 @@ let of_aligner al =
     { kind = Kind_aligner;
       digest;
       predict = (fun ?scope tokens -> Aligner.predict ?scope al tokens);
-      predict_batch = (fun batch -> Aligner.predict_batch al batch);
       fork =
         (fun () ->
           make
@@ -62,35 +60,19 @@ let of_seq2seq ?options ?max_len ~lib model =
     (* One arena per handle: decode_batch resets it on entry, so a handle
        must not be shared across domains — fork per worker instead. *)
     let scratch = Genie_nn.Tensor.Scratch.create () in
-    let decode srcs =
-      Genie_nn.Seq2seq.decode_batch ?max_len ~scratch model srcs
-    in
-    let predict_batch batch =
-      (* Empty rows can't be encoded (attention needs >= 1 position); route
-         them around the decoder and keep submission order. *)
-      let indexed = List.mapi (fun i s -> (i, s)) batch in
-      let nonempty = List.filter (fun (_, s) -> s <> []) indexed in
-      let decoded = decode (List.map snd nonempty) in
-      let table = Hashtbl.create 16 in
-      List.iter2
-        (fun (i, _) out -> Hashtbl.replace table i (to_prediction out))
-        nonempty decoded;
-      List.map
-        (fun (i, _) ->
-          match Hashtbl.find_opt table i with
-          | Some p -> p
-          | None -> no_prediction)
-        indexed
-    in
     { kind = Kind_seq2seq;
       digest;
       predict =
         (fun ?scope tokens ->
           ignore scope;
-          match predict_batch [ tokens ] with
-          | [ p ] -> p
-          | _ -> assert false);
-      predict_batch;
+          (* the encoder needs at least one position *)
+          match tokens with
+          | [] -> no_prediction
+          | _ ->
+              to_prediction
+                (List.hd
+                   (Genie_nn.Seq2seq.decode_batch ?max_len ~scratch model
+                      [ tokens ])));
       fork = (fun () -> make ()) }
   in
   make ()

@@ -1,12 +1,15 @@
 (** The first-class model interface the serving stack is polymorphic over.
 
-    A {!t} is a record of closures — the two prediction entry points plus
+    A {!t} is a record of closures — the prediction entry point plus
     the identity metadata the serve layer keys caches and stats on — so
     the engine, server and daemon never name a concrete backend. Two
     backends exist: the statistical {!Aligner} (wrapped as-is, responses
     byte-identical to calling it directly) and the neural
-    {!Genie_nn.Seq2seq} (batched greedy decode over the row-parallel
-    tensors, predictions worker-count- and batch-composition-invariant).
+    {!Genie_nn.Seq2seq} (greedy decode over the row-parallel tensors,
+    predictions worker-count-invariant). Serving makes one [predict] call
+    per parse-cache miss; batched aligner prediction
+    ({!Aligner.predict_batch}) is an evaluation path and is not part of
+    this interface.
 
     Handles are {e not} domain-safe: both backends carry per-handle mutable
     scratch (the aligner's lazily-filled explainer memo, the seq2seq's
@@ -39,20 +42,16 @@ type t = {
   predict : ?scope:Genie_observe.Tracer.scope -> string list -> prediction;
       (** Parses one tokenized sentence. [scope] is forwarded to backends
           that trace (the aligner); others ignore it. *)
-  predict_batch : string list list -> prediction list;
-      (** Batched prediction, one result per sentence in submission order.
-          Byte-identical to mapping {!predict} — batching is a throughput
-          lever, never a semantic one. *)
   fork : unit -> t;
       (** A sibling handle with private mutable scratch and shared
           read-only state; same [kind] and [digest]. *)
 }
 
 val of_aligner : Aligner.t -> t
-(** Wraps a trained aligner. [predict]/[predict_batch] are the aligner's
-    own, so responses are byte-identical to calling it directly; [fork]
-    takes the shallow-copy-with-private-explainer that the serve engine
-    historically took. *)
+(** Wraps a trained aligner. [predict] is the aligner's own, so responses
+    are byte-identical to calling it directly; [fork] takes the
+    shallow-copy-with-private-explainer that the serve engine historically
+    took. *)
 
 val of_seq2seq :
   ?options:Nn_syntax.options ->

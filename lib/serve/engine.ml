@@ -16,6 +16,8 @@
    test suite stays fast. *)
 
 open Genie_thingtalk
+open Genie_conc
+module Lru = Genie_util.Lru
 module Model = Genie_parser_model.Model
 module Tracer = Genie_observe.Tracer
 module Span = Genie_observe.Span
@@ -31,7 +33,7 @@ type cached = { pred : Model.prediction; text : string option }
 type t = {
   lib : Schema.Library.t;
   mutable model : Model.t;  (* private fork: own mutable scratch *)
-  cache : cached Parse_cache.t;
+  cache : cached Lru.t;
   env : Genie_runtime.Exec.env;
   metrics : Metrics.t;
   fault : Fault.t;
@@ -49,7 +51,7 @@ let create ~lib ~model ~cache_capacity ~metrics ~worker ?seed
   let ccache_capacity = Option.value compile_cache_capacity ~default:cache_capacity in
   { lib;
     model;
-    cache = Parse_cache.create ~capacity:cache_capacity;
+    cache = Lru.create ~capacity:cache_capacity;
     env = Genie_runtime.Exec.create ~seed lib;
     metrics;
     fault;
@@ -86,7 +88,7 @@ let exec_program t ~probe ~compiled_now ~text ~ticks p =
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 
-let process ?(attempt = 0) ?preparsed t (req : Request.t) : Response.t =
+let process ?(attempt = 0) t (req : Request.t) : Response.t =
   let id = req.Request.id in
   let probe = Metrics.probe t.metrics in
   (* The crash decision comes before any real work — in particular before
@@ -122,7 +124,7 @@ let process ?(attempt = 0) ?preparsed t (req : Request.t) : Response.t =
     else None
   in
   let entry, from_cache, parse_error =
-    match Parse_cache.find t.cache key with
+    match Lru.find t.cache key with
     | Some e ->
         Probe.incr probe Probe.Cache_hit;
         (e, true, None)
@@ -135,23 +137,12 @@ let process ?(attempt = 0) ?preparsed t (req : Request.t) : Response.t =
           else skew := !skew +. inject
         end;
         Probe.incr probe Probe.Parse;
-        (* a batch pass may have parsed this key already (see
-           [process_batch]); the cached-prediction value is identical to
-           what [Model.predict] would return here *)
-        let predict () =
-          match preparsed with
-          | Some f -> (
-              match f key with
-              | Some p -> p
-              | None -> t.model.Model.predict ?scope tokens)
-          | None -> t.model.Model.predict ?scope tokens
-        in
-        match predict () with
+        match t.model.Model.predict ?scope tokens with
         | p ->
             (* print once per distinct parse; every response (and the
                compiled-program cache key) reuses this string *)
             let e = { pred = p; text = Option.map Printer.program_to_string p.Model.program } in
-            Parse_cache.add t.cache key e;
+            Lru.add t.cache key e;
             (e, false, None)
         | exception e ->
             ({ pred = Model.no_prediction; text = None }, false, Some (Printexc.to_string e)))
@@ -283,46 +274,6 @@ let process ?(attempt = 0) ?preparsed t (req : Request.t) : Response.t =
           total_ns = t3 -. t0 } }
   end
 
-(* Batched serving: distinct uncached utterances are parsed in one
-   [Model.predict_batch] pass (which shares decoding work across the
-   batch), then every request is replayed through [process] in
-   submission order with the batch predictions supplied. [Parse_cache.mem]
-   peeks without touching recency or counters, and the replay performs the
-   same find/add/exec/record sequence as the sequential path, so responses,
-   cache state, probes and metrics are all identical to processing the
-   requests one by one — intra-batch duplicate misses become hits on replay
-   exactly as they would sequentially, and a key the peek missed (say,
-   evicted mid-replay under capacity pressure) falls back to an inline
-   [Model.predict] that returns the same value. Batches with an active
-   fault schedule, an enabled tracer, or any per-request deadline take the
-   sequential path unchanged: those features are specified against
-   per-request timing and crash points, which batching would reorder. *)
-let process_batch ?(attempt = 0) t (reqs : Request.t list) : Response.t list =
-  let plain =
-    Fault.spec t.fault = Fault.spec Fault.none
-    && (not (Tracer.enabled t.tracer))
-    && List.for_all (fun r -> r.Request.deadline_ns = None) reqs
-  in
-  if not plain then List.map (process ~attempt t) reqs
-  else begin
-    let seen = Hashtbl.create 64 in
-    let missing =
-      List.filter_map
-        (fun r ->
-          let key = Request.cache_key r.Request.utterance in
-          if Parse_cache.mem t.cache key || Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some (key, Genie_util.Tok.tokenize r.Request.utterance)
-          end)
-        reqs
-    in
-    let preds = t.model.Model.predict_batch (List.map snd missing) in
-    let table = Hashtbl.create 64 in
-    List.iter2 (fun (key, _) p -> Hashtbl.replace table key p) missing preds;
-    List.map (process ~attempt ~preparsed:(Hashtbl.find_opt table) t) reqs
-  end
-
 (* Hot-swap: replace the model (with the usual private fork) and clear the
    parse cache, whose entries were computed by the old model. The caller —
    Server.swap_model, between run_batch calls — must guarantee no request
@@ -332,8 +283,8 @@ let process_batch ?(attempt = 0) t (reqs : Request.t list) : Response.t list =
    canonical program text, not of the model that produced it. *)
 let swap_model t model =
   t.model <- model.Model.fork ();
-  Parse_cache.clear t.cache
+  Lru.clear t.cache
 
-let cache_stats t = Parse_cache.stats t.cache
+let cache_stats t = Lru.stats t.cache
 let compile_cache_stats t = Genie_runtime.Compile_cache.stats t.ccache
 let worker t = t.worker

@@ -20,14 +20,14 @@ val create :
   metrics:Metrics.t ->
   worker:int ->
   ?seed:int ->
-  ?fault:Fault.t ->
+  ?fault:Genie_conc.Fault.t ->
   ?tracer:Genie_observe.Tracer.t ->
   ?compiled:bool ->
   ?compile_cache_capacity:int ->
   unit ->
   t
 (** [seed] (default [worker]) seeds the engine's runtime environment.
-    [fault] (default {!Fault.none}) is the engine's injection schedule.
+    [fault] (default {!Genie_conc.Fault.none}) is the engine's injection schedule.
     [tracer] (default {!Genie_observe.Tracer.disabled}) receives per-stage
     spans in slot [worker]; always-on {!Genie_observe.Probe} counters on
     [metrics] are bumped regardless. [compiled] (default [true]) executes
@@ -36,29 +36,17 @@ val create :
     ([compile_cache_capacity], default [cache_capacity]); responses are
     byte-identical to interpreted execution (docs/compilation.md). *)
 
-val process :
-  ?attempt:int ->
-  ?preparsed:(string -> Genie_parser_model.Model.prediction option) ->
-  t ->
-  Request.t ->
-  Response.t
+val process : ?attempt:int -> t -> Request.t -> Response.t
 (** Serves one request: parser and runtime exceptions are absorbed into the
     response ([status = Error]); a request past its {!Request.deadline_ns}
     answers [Timeout] with its stage timings still populated (cache hits are
-    exempt — they cost nothing). The {e only} exception [process] raises is
-    {!Fault.Injected_crash}, on schedule, for the retry layer to catch;
-    [attempt] (default 0) is the retry ordinal the schedule consults, echoed
-    back as [response.attempts = attempt + 1]. [preparsed] (used by
-    {!process_batch}) is consulted by cache key on a cache miss before
-    falling back to the model; it must only return predictions identical
-    to what the model would produce. *)
-
-val process_batch : ?attempt:int -> t -> Request.t list -> Response.t list
-(** Serves a list of requests, parsing all distinct uncached utterances in
-    one batched model pass. Responses, cache state, probes and metrics are
-    identical to [List.map (process ~attempt t)] over the same list;
-    batches with an active fault schedule, an enabled tracer, or any
-    per-request deadline fall back to exactly that sequential path. *)
+    exempt — they cost nothing). A parse-cache miss calls
+    {!Genie_parser_model.Model.predict} inside the request's own timing, so
+    [timing.parse_ns] and [timing.total_ns] include the model. The {e only}
+    exception [process] raises is {!Genie_conc.Fault.Injected_crash}, on
+    schedule, for the retry layer to catch; [attempt] (default 0) is the
+    retry ordinal the schedule consults, echoed back as
+    [response.attempts = attempt + 1]. *)
 
 val swap_model : t -> Genie_parser_model.Model.t -> unit
 (** Atomically (from this engine's point of view: it must not be processing
@@ -68,7 +56,7 @@ val swap_model : t -> Genie_parser_model.Model.t -> unit
     compiled-program cache is kept: bytecode depends only on the canonical
     program text. *)
 
-val cache_stats : t -> Parse_cache.stats
+val cache_stats : t -> Genie_util.Lru.stats
 
 val compile_cache_stats : t -> Genie_runtime.Compile_cache.stats
 (** All zeros when the engine was created with [compiled:false]. *)

@@ -1,23 +1,29 @@
 (* The serving facade: engines + optional pool + stats aggregation, wrapped
    in the robustness policy — admission control, retry with backoff, and
-   cache-only graceful degradation.
+   cache-only graceful degradation. Every worker count serves through the
+   same loop; only where an attempt runs differs (inline at 0/1 workers, one
+   pool job per request at >= 2).
 
    Admission control is per batch: each worker accepts at most
    [admission_capacity] requests of a [run_batch] call (the whole batch
    "arrives at once", so anything beyond a worker's inbox budget is excess
-   load). An excess request is answered from the coordinator's degraded
-   cache when its utterance has been parsed before, and shed with an
-   explicit [Overloaded] response otherwise — never blocked. Because the
+   load). The admitted requests are served first and their parses
+   remembered; then an excess request is answered from the coordinator's
+   degraded cache when its utterance has been parsed before, and shed with
+   an explicit [Overloaded] response otherwise — never blocked. Because the
    decision depends only on the batch order and the key -> worker shard map,
    shedding is deterministic.
 
    Transient failures (injected crashes, injected message drops, any
-   exception a worker raises) are retried with exponential backoff and
-   deterministic jitter up to [max_retries] times; a request that exhausts
-   its retries gets an [Error] response. Either way every submitted request
-   resolves to exactly one response and exactly one metrics outcome. *)
+   exception a worker raises) are retried in rounds with exponential
+   backoff and deterministic jitter up to [max_retries] times; a request
+   that exhausts its retries gets an [Error] response. Either way every
+   submitted request resolves to exactly one response and exactly one
+   metrics outcome. *)
 
 open Genie_thingtalk
+open Genie_conc
+module Lru = Genie_util.Lru
 module Tracer = Genie_observe.Tracer
 module Span = Genie_observe.Span
 module Probe = Genie_observe.Probe
@@ -31,16 +37,12 @@ type cached_parse = {
   c_score : float;
 }
 
-(* Pool jobs carry either one request (the per-request path, with its retry
-   ordinal) or a whole admitted group (the micro-batched path): both ride the
-   same persistent domains, so a batched dispatch pays one submit/drain
-   crossing per worker per batch instead of spawning a fresh pool. *)
-type job = One of Request.t * int | Many of Request.t list
-type job_result = R_one of Response.t | R_many of Response.t list
+(* one attempt at one request: the request and its retry ordinal *)
+type job = Request.t * int
 
 type t = {
   engines : Engine.t array;  (* one per worker; exactly one when sequential *)
-  pool : (job, job_result) Pool.t option;
+  pool : (job, Response.t) Pool.t option;
   metrics : Metrics.t;
   workers : int;  (* as configured: 0/1 = sequential *)
   fault : Fault.t;
@@ -48,7 +50,7 @@ type t = {
   degrade : bool;
   max_retries : int;
   retry_backoff_ns : float;
-  degraded_cache : cached_parse Parse_cache.t;  (* coordinator-only *)
+  degraded_cache : cached_parse Lru.t;  (* coordinator-only *)
   tracer : Tracer.t;  (* coordinator records into slot [Array.length engines] *)
   mutable model_digest : string;  (* [Model.digest] of the active model *)
   mutable model_kind : string;  (* [Model.kind] of the active model *)
@@ -94,15 +96,20 @@ type stats = {
   swaps : int;
 }
 
-(* A dropped message is a root-level event like a crash: same span shape in
-   the sequential simulation and in the pool's transit hook, so traces
-   compare across serving paths. *)
-let record_drop ~metrics ~tracer ~slot ~id ~attempt =
-  Probe.incr (Metrics.probe metrics) Probe.Drop;
-  if Tracer.enabled tracer then
-    Tracer.record tracer ~slot
-      (Span.v ~seed:(Tracer.seed tracer) ~request:id ~attempt ~seq:0
-         ~start_ns:(Tracer.now_ns ()) ~dur_ns:0.0 "drop")
+(* One attempt on the engine the request shards to, on that engine's
+   domain: the drop check, then [Engine.process]. A dropped message is a
+   root-level event like a crash, recorded in the engine's slot. *)
+let attempt ~fault ~metrics ~tracer engine ((req, n) : job) =
+  let id = req.Request.id in
+  if Fault.drops fault ~id ~attempt:n then begin
+    Probe.incr (Metrics.probe metrics) Probe.Drop;
+    if Tracer.enabled tracer then
+      Tracer.record tracer ~slot:(Engine.worker engine)
+        (Span.v ~seed:(Tracer.seed tracer) ~request:id ~attempt:n ~seq:0
+           ~start_ns:(Tracer.now_ns ()) ~dur_ns:0.0 "drop");
+    raise Fault.Injected_drop
+  end;
+  Engine.process ~attempt:n engine req
 
 let create ~lib ~model ?(cache_capacity = 4096) ?(workers = 0)
     ?(queue_capacity = 64) ?(seed = 0) ?(fault = Fault.none)
@@ -120,21 +127,8 @@ let create ~lib ~model ?(cache_capacity = 4096) ?(workers = 0)
     if workers >= 2 then
       Some
         (Pool.create ~workers ~queue_capacity
-           ~fault_hook:(fun w job ->
-             match job with
-             | Many _ -> None  (* batched jobs only exist fault-free *)
-             | One ((req : Request.t), attempt) ->
-                 if Fault.drops fault ~id:req.Request.id ~attempt then begin
-                   record_drop ~metrics ~tracer ~slot:w ~id:req.Request.id
-                     ~attempt;
-                   Some Fault.Injected_drop
-                 end
-                 else None)
            ~handler:(fun w job ->
-             match job with
-             | One (req, attempt) ->
-                 R_one (Engine.process ~attempt engines.(w) req)
-             | Many reqs -> R_many (Engine.process_batch engines.(w) reqs))
+             attempt ~fault ~metrics ~tracer engines.(w) job)
            ())
     else None
   in
@@ -147,7 +141,7 @@ let create ~lib ~model ?(cache_capacity = 4096) ?(workers = 0)
     degrade;
     max_retries;
     retry_backoff_ns = retry_backoff_ms *. 1e6;
-    degraded_cache = Parse_cache.create ~capacity:cache_capacity;
+    degraded_cache = Lru.create ~capacity:cache_capacity;
     tracer;
     model_digest = model.Genie_parser_model.Model.digest;
     model_kind =
@@ -249,18 +243,17 @@ let failed_response t ~worker (req : Request.t) ~attempts e =
     error = Some (Printexc.to_string e);
     timing = Response.no_timing }
 
-let degrade_or_shed t ~worker (req : Request.t) =
+let degrade_or_shed t (req : Request.t) =
   let key = Request.cache_key req.Request.utterance in
-  match
-    if t.degrade then Parse_cache.find t.degraded_cache key else None
-  with
+  let worker = shard t req in
+  match if t.degrade then Lru.find t.degraded_cache key else None with
   | Some c -> degraded_response t ~worker req c
   | None -> overloaded_response t ~worker req
 
 (* feed the degraded cache with every fresh successful parse *)
 let remember t (r : Response.t) =
   if r.Response.status = Response.Ok && not r.Response.degraded then
-    Parse_cache.add t.degraded_cache
+    Lru.add t.degraded_cache
       (Request.cache_key r.Response.utterance)
       { c_program = r.Response.program;
         c_text = r.Response.program_text;
@@ -269,10 +262,9 @@ let remember t (r : Response.t) =
 
 (* --- serving with retries ----------------------------------------------------- *)
 
-(* Counts, traces and (virtually or actually) waits out one retry's backoff.
-   The backoff span's duration is the request's own computed backoff, in
-   both serving paths — even though the pooled coordinator only sleeps once
-   per round, at the round's maximum. *)
+(* Counts and traces one retry's backoff and returns it. The backoff span's
+   duration is the request's own computed backoff, even though the
+   coordinator only sleeps once per round, at the round's maximum. *)
 let record_retry t ~id ~attempt =
   Metrics.incr_retries t.metrics;
   Probe.incr (Metrics.probe t.metrics) Probe.Retry;
@@ -284,223 +276,103 @@ let record_retry t ~id ~attempt =
   record_coord t ~id ~attempt ~seq:9 ~dur_ns:ns "backoff";
   ns
 
-(* one request on the calling domain, with the full retry policy *)
-let process_direct t (req : Request.t) =
-  let w = shard t req in
-  let engine = t.engines.(w) in
-  let rec go attempt =
-    let result =
-      if Fault.drops t.fault ~id:req.Request.id ~attempt then begin
-        record_drop ~metrics:t.metrics ~tracer:t.tracer ~slot:w
-          ~id:req.Request.id ~attempt;
-        Stdlib.Error Fault.Injected_drop
-      end
-      else
-        match Engine.process ~attempt engine req with
-        | r -> Stdlib.Ok r
-        | exception e -> Stdlib.Error e
-    in
-    match result with
-    | Stdlib.Ok r -> r
-    | Stdlib.Error e ->
-        if attempt >= t.max_retries then
-          failed_response t ~worker:w req ~attempts:(attempt + 1) e
-        else begin
-          let ns = record_retry t ~id:req.Request.id ~attempt in
-          if ns > 0.0 then Unix.sleepf (ns /. 1e9);
-          go (attempt + 1)
-        end
+(* Attempts every job once — inline in order at 0/1 workers, as one pool job
+   each at >= 2 — pairing each failure with its job. *)
+let attempt_round t jobs =
+  match t.pool with
+  | None ->
+      List.map
+        (fun ((req, _) as job) ->
+          match
+            attempt ~fault:t.fault ~metrics:t.metrics ~tracer:t.tracer
+              t.engines.(shard t req) job
+          with
+          | r -> Stdlib.Ok r
+          | exception e -> Stdlib.Error (job, e))
+        jobs
+  | Some pool ->
+      List.iter
+        (fun ((req, _) as job) -> Pool.submit pool ~worker:(shard t req) job)
+        jobs;
+      Pool.drain_results pool (List.length jobs)
+
+let by_id =
+  List.sort (fun (a : Response.t) (b : Response.t) ->
+      compare a.Response.id b.Response.id)
+
+(* Serves admitted requests to completion and remembers their parses.
+   Failures are retried in rounds, resubmitted in id order so each worker
+   sees a deterministic retry sequence, with one pause per round at the
+   round's largest backoff. Returns the responses sorted by id. *)
+let serve t reqs =
+  let rec rounds answered jobs =
+    if jobs = [] then answered
+    else begin
+      let ok, failed =
+        List.partition_map
+          (function
+            | Stdlib.Ok r -> Either.Left r
+            | Stdlib.Error f -> Either.Right f)
+          (attempt_round t jobs)
+      in
+      let failed =
+        List.sort
+          (fun (((a : Request.t), _), _) (((b : Request.t), _), _) ->
+            compare a.Request.id b.Request.id)
+          failed
+      in
+      let give_up, retry =
+        List.partition (fun ((_, n), _) -> n >= t.max_retries) failed
+      in
+      let answered =
+        List.map
+          (fun ((req, n), e) ->
+            failed_response t ~worker:(shard t req) req ~attempts:(n + 1) e)
+          give_up
+        @ ok @ answered
+      in
+      let pause =
+        List.fold_left
+          (fun acc (((req : Request.t), n), _) ->
+            Float.max acc (record_retry t ~id:req.Request.id ~attempt:n))
+          0.0 retry
+      in
+      if pause > 0.0 then Unix.sleepf (pause /. 1e9);
+      rounds answered (List.map (fun ((req, n), _) -> (req, n + 1)) retry)
+    end
   in
-  let r = go 0 in
-  remember t r;
-  r
+  let responses = by_id (rounds [] (List.map (fun r -> (r, 0)) reqs)) in
+  List.iter (remember t) responses;
+  responses
 
-let handle t req = process_direct t req
+let handle t req = List.hd (serve t [ req ])
 
-let fresh_credits t n =
-  Array.make n (match t.admission with Some c -> c | None -> max_int)
-
-let run_batch_seq t reqs =
-  let credits = fresh_credits t 1 in
-  List.map
-    (fun req ->
-      if credits.(0) > 0 then begin
-        credits.(0) <- credits.(0) - 1;
-        process_direct t req
-      end
-      else degrade_or_shed t ~worker:0 req)
-    reqs
-
-let run_batch_pooled t pool reqs =
-  let credits = fresh_credits t (Array.length t.engines) in
-  let collected = ref [] in
-  let outstanding = ref 0 in
-  List.iter
-    (fun req ->
-      let w = shard t req in
-      if credits.(w) > 0 then begin
-        credits.(w) <- credits.(w) - 1;
-        Pool.submit pool ~worker:w (One (req, 0));
-        incr outstanding
-      end
-      else collected := degrade_or_shed t ~worker:w req :: !collected)
-    reqs;
-  while !outstanding > 0 do
-    let results = Pool.drain_results pool !outstanding in
-    outstanding := 0;
-    let failures = ref [] in
-    List.iter
-      (function
-        | Stdlib.Ok (R_one r) -> collected := r :: !collected
-        | Stdlib.Ok (R_many rs) ->
-            collected := List.rev_append rs !collected
-        | Stdlib.Error (One (req, attempt), e) ->
-            failures := (req, attempt, e) :: !failures
-        | Stdlib.Error (Many reqs, e) ->
-            (* unreachable on this path (only [One] jobs are submitted), but
-               never lose a request: every member fails definitively *)
-            List.iter
-              (fun (req : Request.t) ->
-                collected :=
-                  failed_response t ~worker:(shard t req) req ~attempts:1 e
-                  :: !collected)
-              reqs)
-      results;
-    (* resubmit in id order so each worker sees a deterministic retry
-       sequence regardless of cross-worker completion interleaving *)
-    let failures =
-      List.sort
-        (fun ((a : Request.t), _, _) ((b : Request.t), _, _) ->
-          compare a.Request.id b.Request.id)
-        !failures
-    in
-    let give_up, retry =
-      List.partition (fun (_, attempt, _) -> attempt >= t.max_retries) failures
-    in
-    List.iter
-      (fun ((req : Request.t), attempt, e) ->
-        collected :=
-          failed_response t ~worker:(shard t req) req ~attempts:(attempt + 1) e
-          :: !collected)
-      give_up;
-    (* one pause per retry round, at the round's largest backoff *)
-    let max_backoff =
-      List.fold_left
-        (fun acc ((req : Request.t), attempt, _) ->
-          Float.max acc (record_retry t ~id:req.Request.id ~attempt))
-        0.0 retry
-    in
-    if max_backoff > 0.0 && retry <> [] then Unix.sleepf (max_backoff /. 1e9);
-    List.iter
-      (fun ((req : Request.t), attempt, _) ->
-        Pool.submit pool ~worker:(shard t req) (One (req, attempt + 1));
-        incr outstanding)
-      retry
-  done;
-  List.iter (remember t) !collected;
-  !collected
-
-(* --- batched serving --------------------------------------------------------- *)
-
-(* The batched variants push each worker's admitted requests through
-   [Engine.process_batch], which parses all distinct uncached utterances of
-   the group in one aligner pass. Responses and end-of-batch server state
-   are identical to the per-request paths above:
-
-   - sequential: admission credits run out monotonically, so the admitted
-     requests are exactly a prefix of the batch; processing that prefix
-     first and then degrading/shedding the suffix preserves the interleaved
-     path's degraded-cache visibility (every shed request still sees all
-     parses remembered before it).
-   - pooled: [run_batch_pooled] sheds at submission time, before any worker
-     response is remembered, so the batched variant also degrades/sheds
-     during the admission walk and remembers afterwards.
-
-   Only fault-free servers take these paths — drop injection and the retry
-   policy are specified per sequential attempt — and [Engine.process_batch]
-   itself falls back to its sequential path for traced or deadline-carrying
-   batches. *)
-
-let run_batch_seq_batched t reqs =
-  let cap = match t.admission with Some c -> c | None -> max_int in
-  let rec split n acc = function
-    | rest when n <= 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | r :: rest -> split (n - 1) (r :: acc) rest
-  in
-  let admitted, excess = split cap [] reqs in
-  let rs = Engine.process_batch t.engines.(0) admitted in
-  List.iter (remember t) rs;
-  rs @ List.map (degrade_or_shed t ~worker:0) excess
-
-let run_batch_pooled_batched t pool reqs =
-  let n = Array.length t.engines in
-  let credits = fresh_credits t n in
-  let groups = Array.make n [] in
-  let shed_responses = ref [] in
-  List.iter
-    (fun req ->
-      let w = shard t req in
-      if credits.(w) > 0 then begin
-        credits.(w) <- credits.(w) - 1;
-        groups.(w) <- req :: groups.(w)
-      end
-      else shed_responses := degrade_or_shed t ~worker:w req :: !shed_responses)
-    reqs;
-  (* One [Many] job per engine on the persistent pool: each engine is still
-     driven from exactly one domain, and the whole micro-batch pays a single
-     submit/drain crossing per worker — no per-batch domain spawns. *)
-  let outstanding = ref 0 in
-  Array.iteri
-    (fun w g ->
-      if g <> [] then begin
-        Pool.submit pool ~worker:w (Many (List.rev g));
-        incr outstanding
-      end)
-    groups;
-  let responses = ref [] in
-  if !outstanding > 0 then
-    List.iter
-      (function
-        | Stdlib.Ok (R_many rs) -> responses := List.rev_append rs !responses
-        | Stdlib.Ok (R_one r) -> responses := r :: !responses
-        | Stdlib.Error (Many reqs, e) ->
-            (* batched jobs run fault-free, so a worker exception here is a
-               real bug; still answer every request exactly once *)
-            List.iter
-              (fun (req : Request.t) ->
-                responses :=
-                  failed_response t ~worker:(shard t req) req ~attempts:1 e
-                  :: !responses)
-              reqs
-        | Stdlib.Error (One (req, _), e) ->
-            responses :=
-              failed_response t ~worker:(shard t req) req ~attempts:1 e
-              :: !responses)
-      (Pool.drain_results pool !outstanding);
-  List.iter (remember t) !responses;
-  !responses @ !shed_responses
-
-let run_batch ?(batched = false) t reqs =
+let run_batch t reqs =
   let t0 = Unix.gettimeofday () in
-  let batched = batched && Fault.spec t.fault = Fault.spec Fault.none in
-  let responses =
-    match t.pool with
-    | None -> if batched then run_batch_seq_batched t reqs else run_batch_seq t reqs
-    | Some pool ->
-        if batched then run_batch_pooled_batched t pool reqs
-        else run_batch_pooled t pool reqs
+  let credits =
+    Array.make (Array.length t.engines)
+      (Option.value t.admission ~default:max_int)
   in
+  let admitted, excess =
+    List.fold_left
+      (fun (admitted, excess) req ->
+        let w = shard t req in
+        if credits.(w) > 0 then begin
+          credits.(w) <- credits.(w) - 1;
+          (req :: admitted, excess)
+        end
+        else (admitted, req :: excess))
+      ([], []) reqs
+  in
+  let served = serve t (List.rev admitted) in
+  let responses = served @ List.map (degrade_or_shed t) (List.rev excess) in
   let dt = Unix.gettimeofday () -. t0 in
   let n_reqs = List.length reqs in
   t.last_batch <- (n_reqs, dt);
   t.total_requests <- t.total_requests + n_reqs;
   t.total_seconds <- t.total_seconds +. dt;
   t.total_batches <- t.total_batches + 1;
-  List.sort
-    (fun (a : Response.t) (b : Response.t) ->
-      compare a.Response.id b.Response.id)
-    responses
+  by_id responses
 
 let stats (t : t) =
   let m = Metrics.snapshot t.metrics in
@@ -508,10 +380,10 @@ let stats (t : t) =
     Array.fold_left
       (fun (h, mi, e, n) engine ->
         let s = Engine.cache_stats engine in
-        ( h + s.Parse_cache.hits,
-          mi + s.Parse_cache.misses,
-          e + s.Parse_cache.evictions,
-          n + s.Parse_cache.entries ))
+        ( h + s.Lru.hits,
+          mi + s.Lru.misses,
+          e + s.Lru.evictions,
+          n + s.Lru.entries ))
       (0, 0, 0, 0) t.engines
   in
   let chits, cmisses, cevictions, centries =
@@ -586,7 +458,7 @@ let swap_model t (model : Genie_parser_model.Model.t) =
     let old = t.model_digest in
     let t0 = Tracer.now_ns () in
     Array.iter (fun e -> Engine.swap_model e model) t.engines;
-    Parse_cache.clear t.degraded_cache;
+    Lru.clear t.degraded_cache;
     Probe.incr probe Probe.Swap_cache_clear;
     t.model_digest <- d;
     t.model_kind <-

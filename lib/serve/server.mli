@@ -4,22 +4,26 @@
     exponential backoff + deterministic jitter, and cache-only graceful
     degradation under saturation.
 
-    [workers <= 1] (the default) is the {e sequential} path: no domains are
-    spawned and every request runs on the calling domain in submission
-    order — fully deterministic, the configuration the test suite uses.
-    [workers >= 2] spawns a {!Pool} and shards requests across workers by
-    cache key, so each worker's private cache and runtime see a stable
-    partition of the key space and a pooled run performs exactly the same
-    set of model decodes as a sequential run. The server is polymorphic
-    over {!Genie_parser_model.Model}: aligner and seq2seq backends serve
-    through the same engines, caches and swap machinery.
+    Every worker count serves through one loop: walk the admission credits,
+    attempt each admitted request once with {!Engine.process} (one model
+    call per parse-cache miss), retry failures in rounds, remember the
+    fresh parses, then degrade or shed the excess. Only where an attempt
+    runs depends on [workers]: at [workers <= 1] (the default) no domains
+    are spawned and attempts run on the calling domain in submission order;
+    at [workers >= 2] each attempt is one {!Genie_conc.Pool} job on the
+    worker its cache key shards to, so each worker's private cache and
+    runtime see a stable partition of the key space and a pooled run
+    performs exactly the same set of model decodes as a sequential run.
+    The server is polymorphic over {!Genie_parser_model.Model}: aligner and
+    seq2seq backends serve through the same engines, caches and swap
+    machinery.
 
     Failure semantics: every submitted request gets exactly one response —
     [Ok], [No_parse], [Timeout] (deadline expired), [Overloaded] (shed at
     admission) or [Error] (exception / retries exhausted) — and lands in
-    exactly one of the metrics outcome counters. Under a {!Fault} schedule
-    every decision is a deterministic function of the schedule's seed and
-    the request ids. *)
+    exactly one of the metrics outcome counters. Under a
+    {!Genie_conc.Fault} schedule every decision is a deterministic function
+    of the schedule's seed and the request ids. *)
 
 open Genie_thingtalk
 
@@ -70,7 +74,7 @@ val create :
   ?workers:int ->
   ?queue_capacity:int ->
   ?seed:int ->
-  ?fault:Fault.t ->
+  ?fault:Genie_conc.Fault.t ->
   ?admission_capacity:int ->
   ?degrade:bool ->
   ?max_retries:int ->
@@ -81,7 +85,7 @@ val create :
   unit ->
   t
 (** Defaults: [cache_capacity] 4096 (per worker), [workers] 0 (sequential),
-    [queue_capacity] 64 per worker, [seed] 0, [fault] {!Fault.none},
+    [queue_capacity] 64 per worker, [seed] 0, [fault] {!Genie_conc.Fault.none},
     [admission_capacity] unlimited, [degrade] true, [max_retries] 2,
     [retry_backoff_ms] 1, [tracer] {!Genie_observe.Tracer.disabled},
     [compiled] true (execute requests run through {!Genie_runtime.Compile}
@@ -90,9 +94,11 @@ val create :
     [cache_capacity].
 
     [admission_capacity] bounds how many requests each worker accepts per
-    {!run_batch} call; excess requests are answered from the degraded cache
-    (when [degrade] and the utterance was parsed before) or shed with
-    [Overloaded] — never blocked.
+    {!run_batch} call. Excess requests are answered after the admitted ones
+    have been served: from the degraded cache (when [degrade] and the
+    utterance was parsed before, in this batch or an earlier one) or shed
+    with [Overloaded] — never blocked. The rule is the same at every worker
+    count.
 
     [tracer] receives per-request stage spans from every worker engine plus
     coordinator events (retry, backoff, shed, degraded); create it with
@@ -105,7 +111,7 @@ val of_artifacts :
   ?workers:int ->
   ?queue_capacity:int ->
   ?seed:int ->
-  ?fault:Fault.t ->
+  ?fault:Genie_conc.Fault.t ->
   ?admission_capacity:int ->
   ?degrade:bool ->
   ?max_retries:int ->
@@ -119,26 +125,19 @@ val of_artifacts :
     aligner, wrapped with {!Genie_parser_model.Model.of_aligner}). *)
 
 val handle : t -> Request.t -> Response.t
-(** Serves one request on the calling domain (on the engine its key shards
-    to), with the full retry policy but no admission check. Do not
-    interleave with a concurrent {!run_batch}. *)
+(** {!run_batch} of one request without the admission check: the full
+    retry policy, and the parse is remembered for degraded answers. Does
+    not count as a batch in {!stats}. Do not interleave with a concurrent
+    {!run_batch}. *)
 
-val run_batch : ?batched:bool -> t -> Request.t list -> Response.t list
-(** Serves a batch — through the pool when [workers >= 2], sequentially
-    otherwise — and returns exactly one response per request, sorted by
-    request id. Also records the batch's wall-clock time for {!stats}'s
-    throughput.
-
-    With [~batched:true] (default false) each worker's admitted requests go
-    through {!Engine.process_batch}, which parses all distinct uncached
-    utterances in one batched model pass; responses and end-of-batch
-    server state are identical to the per-request path. On a pooled server
-    the whole group rides the persistent worker domains as one job per
-    engine — a single pool crossing per worker per batch, which is what the
-    network front end's micro-batched admission amortizes. The flag is
-    ignored when the server carries a fault schedule (fault semantics are
-    specified per sequential attempt), and traced or deadline-carrying
-    batches fall back engine-side. *)
+val run_batch : t -> Request.t list -> Response.t list
+(** Serves a batch and returns exactly one response per request, sorted by
+    request id. Each worker admits up to [admission_capacity] requests in
+    batch order; the admitted ones are attempted (inline at [workers <= 1],
+    one pool job each otherwise), failures are retried in rounds in id
+    order with one pause per round at the round's largest backoff, and the
+    fresh parses are remembered before the excess is degraded or shed.
+    Also records the batch's wall-clock time for {!stats}'s throughput. *)
 
 val swap_model :
   t ->

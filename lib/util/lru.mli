@@ -1,7 +1,8 @@
 (** A generic string-keyed LRU cache with hit/miss/eviction counters.
 
-    Backs both the serve layer's parse cache ({!Genie_serve.Parse_cache})
-    and the runtime's compiled-program cache
+    Backs the serve layer's parse and degraded caches
+    ([Genie_serve.Engine], [Genie_serve.Server]) and the runtime's
+    compiled-program cache
     ({!Genie_runtime.Compile_cache}): assistant traffic repeats heavily, so
     a small recency cache in front of an expensive stage (aligner decode,
     ThingTalk compilation) answers the common case in O(1). The cache is

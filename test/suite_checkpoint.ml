@@ -18,6 +18,7 @@
 open Genie_thingtalk
 open Genie_serve
 open Genie_nn
+module Fault = Genie_conc.Fault
 open Genie_checkpoint
 
 (* --- a tiny seq2seq training world (mirrors suite_train_parallel) ------------------ *)

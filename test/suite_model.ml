@@ -19,6 +19,7 @@ open Genie_nn
 open Genie_checkpoint
 module Model = Genie_parser_model.Model
 module Aligner = Genie_parser_model.Aligner
+module Fault = Genie_conc.Fault
 
 let lib = Genie_thingpedia.Thingpedia.core_library ()
 let parse = Parser.parse_program
@@ -77,12 +78,6 @@ let test_aligner_behind_interface () =
         (pred_essence (Aligner.predict al toks))
         (pred_essence (m.Model.predict toks)))
     token_lists;
-  List.iter2
-    (fun direct through ->
-      Alcotest.(check string) "batch matches direct" (pred_essence direct)
-        (pred_essence through))
-    (Aligner.predict_batch al token_lists)
-    (m.Model.predict_batch token_lists);
   (* fork: same identity, same answers, private scratch *)
   let f = m.Model.fork () in
   Alcotest.(check string) "fork digest" m.Model.digest f.Model.digest;
@@ -210,32 +205,31 @@ let test_seq2seq_behind_interface () =
   Alcotest.(check string) "kind" "seq2seq" (Model.kind_to_string m.Model.kind);
   Alcotest.(check string) "digest is the weight digest"
     (Seq2seq.weight_digest nn) m.Model.digest;
-  (* predict == predict_batch row, fork answers identically *)
+  (* predict is the raw decode, parsed; fork answers identically *)
   let f = m.Model.fork () in
   Alcotest.(check string) "fork digest" m.Model.digest f.Model.digest;
-  let batch = m.Model.predict_batch token_lists in
-  List.iter2
-    (fun toks p ->
-      Alcotest.(check string) "predict == batch row"
-        (pred_essence (m.Model.predict toks))
-        (pred_essence p);
+  List.iter
+    (fun toks ->
+      let p = m.Model.predict toks in
+      (match Seq2seq.decode_batch ~max_len:24 nn [ toks ] with
+      | [ (raw, logp) ] ->
+          Alcotest.(check (list string)) "predict carries the decode" raw
+            p.Model.nn_tokens;
+          Alcotest.(check int64) "predict carries the decode score"
+            (Int64.bits_of_float logp)
+            (Int64.bits_of_float p.Model.score)
+      | _ -> Alcotest.fail "decode arity");
       Alcotest.(check string) "fork == original"
         (pred_essence (f.Model.predict toks))
         (pred_essence p);
       (* a decode either parses or is carried raw; either way it decoded *)
       Alcotest.(check bool) "score is finite" true
         (Float.is_finite p.Model.score))
-    token_lists batch;
+    token_lists;
   (* the empty sentence short-circuits (no encoder positions) *)
   let p = m.Model.predict [] in
   Alcotest.(check string) "empty input" (pred_essence Model.no_prediction)
-    (pred_essence p);
-  (match m.Model.predict_batch [ [ "tweet"; "alice" ]; []; [ "tweet"; "bob" ] ] with
-  | [ _; p; _ ] ->
-      Alcotest.(check string) "empty row in a batch"
-        (pred_essence Model.no_prediction)
-        (pred_essence p)
-  | _ -> Alcotest.fail "batch arity")
+    (pred_essence p)
 
 (* --- seq2seq end-to-end serving ----------------------------------------------------- *)
 
@@ -261,7 +255,7 @@ let serve_essences ?fault ~workers model n =
   let out = ref [] in
   for b = 0 to 2 do
     let reqs = List.init n (fun i -> request ((b * n) + i)) in
-    out := !out @ List.map essence (Server.run_batch ~batched:true server reqs)
+    out := !out @ List.map essence (Server.run_batch server reqs)
   done;
   let kind = Server.model_kind server in
   Server.shutdown server;
@@ -381,7 +375,7 @@ let test_checkpoint_swap_differential () =
           for b = 0 to 2 do
             List.iter
               (check_against ga "old-model")
-              (Server.run_batch ~batched:true server
+              (Server.run_batch server
                  (List.init n (fun i -> request ((b * n) + i))))
           done;
           (match Server.swap_model server mb with
@@ -390,7 +384,7 @@ let test_checkpoint_swap_differential () =
           for b = 3 to 5 do
             List.iter
               (check_against gb "new-model")
-              (Server.run_batch ~batched:true server
+              (Server.run_batch server
                  (List.init n (fun i -> request ((b * n) + i))))
           done;
           let s = Server.stats server in

@@ -4,7 +4,7 @@
    (every admitted request answered exactly once, at several pool sizes),
    and the full daemon + client + loadgen path over loopback — whose
    response stream must be digest-identical to an in-process
-   [Server.run_batch ~batched:true] on the same requests.
+   [Server.run_batch] on the same requests.
 
    Everything socket-free is driven by injected clocks and fake fds so it
    is exactly reproducible; the loopback tests use a single connection
@@ -51,8 +51,9 @@ let utterances =
 let utterance i = List.nth utterances (i mod List.length utterances)
 let request i = Request.make ~id:i (utterance i)
 
-let mk_server ?tracer ?(workers = 0) () =
-  Server.create ~lib ~model:(Lazy.force model) ~workers ?tracer ()
+let mk_server ?tracer ?model:m ?(workers = 0) () =
+  let model = match m with Some m -> m | None -> Lazy.force model in
+  Server.create ~lib ~model ~workers ?tracer ()
 
 (* pool sizes exercised by the drain tests; CI legs override via
    GENIE_TEST_WORKERS, the sequential reference is always included *)
@@ -491,7 +492,7 @@ let test_batcher_histogram () =
 (* --- graceful drain: every admitted request answered exactly once -------------- *)
 
 (* The daemon's drain loop, deterministically: a virtual clock drives the
-   batcher, [Server.run_batch ~batched:true] serves each taken batch, and
+   batcher, [Server.run_batch] serves each taken batch, and
    drain begins while the queue still holds most of the requests. *)
 let drain_exactly_once workers () =
   let server = mk_server ~workers () in
@@ -510,7 +511,7 @@ let drain_exactly_once workers () =
       (fun (r : Response.t) ->
         Hashtbl.replace answered r.Response.id
           (1 + Option.value ~default:0 (Hashtbl.find_opt answered r.Response.id)))
-      (Server.run_batch ~batched:true server reqs)
+      (Server.run_batch server reqs)
   in
   (* one full batch dispatches before shutdown arrives *)
   dispatch 100.0;
@@ -538,9 +539,9 @@ let drain_exactly_once workers () =
 
 (* --- loopback: daemon + client ------------------------------------------------ *)
 
-let with_daemon ?tracer ?tracer_slot ?(workers = 0) ?(config = Daemon.default_config)
-    f =
-  let server = mk_server ?tracer ~workers () in
+let with_daemon ?tracer ?tracer_slot ?model ?(workers = 0)
+    ?(config = Daemon.default_config) f =
+  let server = mk_server ?tracer ?model ~workers () in
   let d = Daemon.create ?tracer ?tracer_slot ~server config in
   let dom = Domain.spawn (fun () -> Daemon.run d) in
   let finish () =
@@ -558,10 +559,10 @@ let with_daemon ?tracer ?tracer_slot ?(workers = 0) ?(config = Daemon.default_co
 let test_loopback_digest_matches_in_process () =
   let n = 24 in
   let reqs = List.init n request in
-  (* ground truth: the in-process batched path *)
+  (* ground truth: the same requests served in process *)
   let expected =
     let server = mk_server () in
-    let resps = Server.run_batch ~batched:true server reqs in
+    let resps = Server.run_batch server reqs in
     Server.shutdown server;
     Codec.digest_of_responses resps
   in
@@ -737,6 +738,91 @@ let test_loopback_observability () =
         | None -> false))
     queued
 
+(* Decode time belongs to the request that paid for it: with a model whose
+   [predict] takes at least 5 ms, every parse-miss response reports at least
+   that much engine time, whatever the worker count. *)
+let test_loopback_decode_time_attributed () =
+  let decode_ns = 5e6 in
+  let rec slow (m : Genie_parser_model.Model.t) =
+    { m with
+      Genie_parser_model.Model.predict =
+        (fun ?scope toks ->
+          Unix.sleepf (decode_ns /. 1e9);
+          m.Genie_parser_model.Model.predict ?scope toks);
+      fork = (fun () -> slow (m.Genie_parser_model.Model.fork ())) }
+  in
+  let model = slow (Lazy.force model) in
+  let n = 12 in
+  List.iter
+    (fun workers ->
+      ignore
+        (with_daemon ~model ~workers (fun d ->
+             let c = Client.connect ~port:(Daemon.port d) () in
+             for i = 0 to n - 1 do
+               Client.send_request c (request i)
+             done;
+             let got = List.init n (fun _ -> Client.recv_response c) in
+             let misses = List.filter (fun r -> not r.Codec.rs_from_cache) got in
+             Alcotest.(check int)
+               (Printf.sprintf "one miss per distinct utterance at workers=%d" workers)
+               (List.length utterances) (List.length misses);
+             List.iter
+               (fun r ->
+                 if r.Codec.rs_total_ns < decode_ns then
+                   Alcotest.failf
+                     "workers=%d: miss #%d reports %.0f ns, below the %.0f ns decode"
+                     workers r.Codec.rs_id r.Codec.rs_total_ns decode_ns)
+               misses;
+             Client.close c)))
+    [ 0; 2 ]
+
+(* The Stats fields the benchmark harness reads off the wire. *)
+let test_stats_json_fields () =
+  let d, server =
+    with_daemon (fun d ->
+        let c = Client.connect ~port:(Daemon.port d) () in
+        List.iter (fun i -> ignore (Client.rpc c (request i))) [ 0; 1; 0 ];
+        Client.close c)
+  in
+  let module J = Genie_util.Json_lite in
+  let fields =
+    match Daemon.stats_json d with
+    | J.Obj kvs -> kvs
+    | _ -> Alcotest.fail "stats is not an object"
+  in
+  let field kvs k =
+    match List.assoc_opt k kvs with
+    | Some v -> v
+    | None -> Alcotest.failf "stats lacks %S" k
+  in
+  let int kvs k =
+    match field kvs k with J.Int n -> n | _ -> Alcotest.failf "%S is not an int" k
+  in
+  (match field fields "model_digest" with
+  | J.String s -> Alcotest.(check string) "model_digest" (Server.model_digest server) s
+  | _ -> Alcotest.fail "model_digest is not a string");
+  let batches = int fields "batches" in
+  (match field fields "batch_histogram" with
+  | J.List rows ->
+      let counted =
+        List.fold_left
+          (fun acc row ->
+            match row with
+            | J.List [ J.Int size; J.Int count ] when size > 0 && count > 0 ->
+                acc + count
+            | _ -> Alcotest.fail "batch_histogram row is not [size, count]")
+          0 rows
+      in
+      Alcotest.(check int) "histogram counts every batch" batches counted
+  | _ -> Alcotest.fail "batch_histogram is not a list");
+  let srv =
+    match field fields "server" with
+    | J.Obj kvs -> kvs
+    | _ -> Alcotest.fail "server is not an object"
+  in
+  Alcotest.(check int) "server.cache_misses" 2 (int srv "cache_misses");
+  Alcotest.(check int) "server.cache_hits" 1 (int srv "cache_hits")
+
 (* --- server cumulative throughput (the fixed metric) --------------------------- *)
 
 let test_cumulative_throughput () =
@@ -806,5 +892,9 @@ let suite =
     Alcotest.test_case "loopback: protocol error kills connection" `Quick
       test_loopback_protocol_error_kills_connection;
     Alcotest.test_case "loopback: probes and spans" `Quick test_loopback_observability;
+    Alcotest.test_case "loopback: decode time attributed to its request" `Quick
+      test_loopback_decode_time_attributed;
+    Alcotest.test_case "stats: fields the benchmark reads" `Quick
+      test_stats_json_fields;
     Alcotest.test_case "server: cumulative throughput" `Quick
       test_cumulative_throughput ]

@@ -12,6 +12,7 @@
 
 open Genie_thingtalk
 open Genie_serve
+module Fault = Genie_conc.Fault
 module Span = Genie_observe.Span
 module Tracer = Genie_observe.Tracer
 module Export = Genie_observe.Export

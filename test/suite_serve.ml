@@ -15,6 +15,8 @@
 
 open Genie_thingtalk
 open Genie_serve
+open Genie_conc
+module Lru = Genie_util.Lru
 
 let lib = Genie_thingpedia.Thingpedia.core_library ()
 let parse = Parser.parse_program
@@ -76,39 +78,39 @@ let cross_path_digest (r : Response.t) =
 (* --- parse cache -------------------------------------------------------------- *)
 
 let test_lru_eviction_order () =
-  let c = Parse_cache.create ~capacity:2 in
-  Parse_cache.add c "a" 1;
-  Parse_cache.add c "b" 2;
-  Alcotest.(check (list string)) "mru order" [ "b"; "a" ] (Parse_cache.keys_mru c);
+  let c = Lru.create ~capacity:2 in
+  Lru.add c "a" 1;
+  Lru.add c "b" 2;
+  Alcotest.(check (list string)) "mru order" [ "b"; "a" ] (Lru.keys_mru c);
   (* touching [a] protects it; adding [c] evicts [b] *)
-  Alcotest.(check (option int)) "hit a" (Some 1) (Parse_cache.find c "a");
-  Parse_cache.add c "c" 3;
-  Alcotest.(check (list string)) "b evicted" [ "c"; "a" ] (Parse_cache.keys_mru c);
-  Alcotest.(check bool) "b gone" false (Parse_cache.mem c "b");
-  let s = Parse_cache.stats c in
-  Alcotest.(check int) "one eviction" 1 s.Parse_cache.evictions;
-  Alcotest.(check int) "one hit" 1 s.Parse_cache.hits
+  Alcotest.(check (option int)) "hit a" (Some 1) (Lru.find c "a");
+  Lru.add c "c" 3;
+  Alcotest.(check (list string)) "b evicted" [ "c"; "a" ] (Lru.keys_mru c);
+  Alcotest.(check bool) "b gone" false (Lru.mem c "b");
+  let s = Lru.stats c in
+  Alcotest.(check int) "one eviction" 1 s.Lru.evictions;
+  Alcotest.(check int) "one hit" 1 s.Lru.hits
 
 let test_lru_capacity_one () =
-  let c = Parse_cache.create ~capacity:1 in
-  Parse_cache.add c "a" 1;
-  Alcotest.(check (option int)) "a cached" (Some 1) (Parse_cache.find c "a");
-  Parse_cache.add c "b" 2;
-  Alcotest.(check bool) "a evicted" false (Parse_cache.mem c "a");
-  Alcotest.(check (option int)) "b cached" (Some 2) (Parse_cache.find c "b");
-  Alcotest.(check int) "length" 1 (Parse_cache.length c);
+  let c = Lru.create ~capacity:1 in
+  Lru.add c "a" 1;
+  Alcotest.(check (option int)) "a cached" (Some 1) (Lru.find c "a");
+  Lru.add c "b" 2;
+  Alcotest.(check bool) "a evicted" false (Lru.mem c "a");
+  Alcotest.(check (option int)) "b cached" (Some 2) (Lru.find c "b");
+  Alcotest.(check int) "length" 1 (Lru.length c);
   (* re-adding the resident key must not evict it *)
-  Parse_cache.add c "b" 20;
-  Alcotest.(check (option int)) "replaced in place" (Some 20) (Parse_cache.find c "b");
-  Alcotest.(check int) "single eviction" 1 (Parse_cache.stats c).Parse_cache.evictions
+  Lru.add c "b" 20;
+  Alcotest.(check (option int)) "replaced in place" (Some 20) (Lru.find c "b");
+  Alcotest.(check int) "single eviction" 1 (Lru.stats c).Lru.evictions
 
 let test_lru_capacity_zero () =
-  let c = Parse_cache.create ~capacity:0 in
-  Parse_cache.add c "a" 1;
-  Alcotest.(check (option int)) "nothing stored" None (Parse_cache.find c "a");
-  Alcotest.(check (option int)) "still nothing" None (Parse_cache.find c "a");
-  Alcotest.(check int) "empty" 0 (Parse_cache.length c);
-  Alcotest.(check int) "two misses" 2 (Parse_cache.stats c).Parse_cache.misses
+  let c = Lru.create ~capacity:0 in
+  Lru.add c "a" 1;
+  Alcotest.(check (option int)) "nothing stored" None (Lru.find c "a");
+  Alcotest.(check (option int)) "still nothing" None (Lru.find c "a");
+  Alcotest.(check int) "empty" 0 (Lru.length c);
+  Alcotest.(check int) "two misses" 2 (Lru.stats c).Lru.misses
 
 (* --- cached parse is byte-identical to a cold parse ----------------------------- *)
 
@@ -976,33 +978,47 @@ let test_no_restringify_on_cache_hit () =
     (Printer.program_print_count () - before);
   Server.shutdown server
 
-(* --- batched predict path ---------------------------------------------------------- *)
+(* --- one admission rule at every worker count ------------------------------------ *)
 
-(* The batched engine path (one aligner pass over all distinct uncached
-   utterances) must be observationally identical to per-request processing:
-   responses byte for byte, cache flags included, sequential or pooled. *)
-let test_batched_predict_identical () =
+(* Admitted requests are served and remembered before the excess is
+   handled, so an over-budget repeat of a key that an admitted request of
+   the same batch parsed is answered degraded, not shed — at 0 workers and
+   through the pool alike. *)
+let test_admission_rule_worker_invariant () =
   let model = Lazy.force model in
-  let requests =
-    Traffic.generate ~rng:(Genie_util.Rng.create 31) ~utterances:utterances 40
-  in
-  let run ?(workers = 0) ~batched () =
-    let server = Server.create ~lib ~model ~workers () in
-    let rs = Server.run_batch ~batched server requests in
-    check_invariant server;
-    Server.shutdown server;
-    List.map digest rs
-  in
-  let reference = run ~batched:false () in
-  Alcotest.(check (list string)) "batched = unbatched (sequential)" reference
-    (run ~batched:true ());
-  Alcotest.(check (list string)) "batched = unbatched (pooled)" reference
-    (run ~workers:2 ~batched:true ())
+  List.iter
+    (fun workers ->
+      let server =
+        Server.create ~lib ~model ~workers ~queue_capacity:8
+          ~admission_capacity:1 ()
+      in
+      let rs =
+        Server.run_batch server
+          [ Request.make ~id:0 "tweet alice"; Request.make ~id:1 "tweet alice" ]
+      in
+      check_invariant server;
+      let s = Server.stats server in
+      Server.shutdown server;
+      let label what = Printf.sprintf "%s at %d workers" what workers in
+      match rs with
+      | [ first; repeat ] ->
+          Alcotest.(check string) (label "admitted ok") "ok"
+            (Response.status_to_string first.Response.status);
+          Alcotest.(check bool) (label "admitted not degraded") false
+            first.Response.degraded;
+          Alcotest.(check string) (label "repeat ok") "ok"
+            (Response.status_to_string repeat.Response.status);
+          Alcotest.(check bool) (label "repeat degraded") true
+            repeat.Response.degraded;
+          Alcotest.(check (option string)) (label "repeat = admitted parse")
+            first.Response.program_text repeat.Response.program_text;
+          Alcotest.(check int) (label "degraded counter") 1 s.Server.degraded;
+          Alcotest.(check int) (label "nothing shed") 0 s.Server.shed
+      | _ -> Alcotest.fail "expected two responses")
+    [ 0; 2 ]
 
 let suite =
   [ Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
-    Alcotest.test_case "batched predict = per-request" `Quick
-      test_batched_predict_identical;
     Alcotest.test_case "lru capacity 1" `Quick test_lru_capacity_one;
     Alcotest.test_case "lru capacity 0" `Quick test_lru_capacity_zero;
     Alcotest.test_case "cached = cold parse" `Quick test_cached_response_identical;
@@ -1042,6 +1058,8 @@ let suite =
       test_pooled_faults_account_for_every_request;
     Alcotest.test_case "pooled admission deterministic" `Quick
       test_pooled_admission_deterministic;
+    Alcotest.test_case "admission rule worker-invariant" `Quick
+      test_admission_rule_worker_invariant;
     Alcotest.test_case "metrics percentiles" `Quick test_metrics_percentiles;
     Alcotest.test_case "metrics concurrent" `Quick test_metrics_concurrent_records;
     Alcotest.test_case "traffic zipfian" `Quick test_traffic_deterministic_and_zipfian;
