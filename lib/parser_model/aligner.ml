@@ -41,8 +41,24 @@ let default_config =
     beam = 6;
     max_candidates = 2500 }
 
+(* Scoring features of a skeleton that depend only on the skeleton itself,
+   fixed when its entry is created: its atoms (in [Skeleton.atoms] order)
+   with their weights, the content atoms that can explain a sentence word,
+   the size penalty and the two structural cues. *)
+type features = {
+  skeleton_atoms : string array;
+  weights : float array;
+  content_atoms : string array;
+  size_penalty : float;
+  is_stream : bool;
+  passing : bool;
+}
+
 type skeleton_entry = {
   skeleton : Skeleton.t;
+  key : string; (* [Skeleton.key skeleton] *)
+  id : int; (* registration order in the inventory; -1 for composed entries *)
+  features : features;
   mutable count : float; (* training prior *)
   mutable lm_count : float; (* pretraining prior *)
 }
@@ -84,10 +100,60 @@ type t = {
   streams : (string, clause_entry) Hashtbl.t;
   queries : (string, clause_entry) Hashtbl.t;
   actions : (string, clause_entry) Hashtbl.t;
-  (* per-model cache: word -> best explanation by any content atom *)
-  explainer : (string, float) Hashtbl.t;
   mutable trained_examples : int;
+  (* Derived at the end of [train] from [by_function], never written
+     afterwards: per function atom (in [by_function] fold order), its
+     skeletons sorted by training count. *)
+  functions : (string * skeleton_entry array) array;
 }
+
+(* --- scoring features ------------------------------------------------------- *)
+
+let atom_weight atom =
+  if Genie_util.Tok.starts_with ~prefix:"@" atom then 2.5
+  else if Genie_util.Tok.starts_with ~prefix:"enum:" atom then 0.8
+  else if Genie_util.Tok.starts_with ~prefix:"param:" atom then 0.4
+  else if Genie_util.Tok.starts_with ~prefix:"unit:" atom then 0.2
+  else if List.mem atom [ "monitor"; "now"; "timer"; "attimer"; "edge" ] then 1.2
+  else 0.4
+
+(* Only content-bearing atoms can explain a sentence word: structural atoms
+   like 'monitor' or 'join' co-occur with everything and would cover any
+   word spuriously. *)
+let is_content_atom a =
+  Genie_util.Tok.starts_with ~prefix:"@" a
+  || Genie_util.Tok.starts_with ~prefix:"param:" a
+  || Genie_util.Tok.starts_with ~prefix:"enum:" a
+
+(* does the skeleton pass an upstream output into an input parameter? *)
+let has_param_passing_tokens tokens =
+  let rec go = function
+    | "=" :: p :: rest ->
+        Genie_util.Tok.starts_with ~prefix:"param:" p || go (p :: rest)
+    | _ :: rest -> go rest
+    | [] -> false
+  in
+  go tokens
+
+let is_stream_tokens = function
+  | ("monitor" | "edge" | "timer" | "attimer") :: _ -> true
+  | _ -> false
+
+let features_of (sk : Skeleton.t) =
+  let atoms = Skeleton.atoms sk in
+  { skeleton_atoms = Array.of_list atoms;
+    weights = Array.of_list (List.map atom_weight atoms);
+    content_atoms = Array.of_list (List.filter is_content_atom atoms);
+    (* atoms are deduplicated, so token length must carry part of the size
+       penalty: otherwise a degenerate self-join chain costs the same as a
+       single join *)
+    size_penalty =
+      (0.11 *. float_of_int (List.length atoms))
+      +. (0.012 *. float_of_int (List.length sk.Skeleton.tokens));
+    is_stream = is_stream_tokens sk.Skeleton.tokens;
+    passing = has_param_passing_tokens sk.Skeleton.tokens }
+
+(* --- training ---------------------------------------------------------------- *)
 
 let create ?(cfg = default_config) lib : t =
   let gazettes = Genie_augment.Gazettes.create ~size:cfg.gazette_size () in
@@ -98,10 +164,13 @@ let create ?(cfg = default_config) lib : t =
       Array.iter (fun v -> Hashtbl.replace set v ()) arr;
       Hashtbl.replace gazette_sets name set)
     gazettes.Genie_augment.Gazettes.pools;
+  (* Decoding breaks score ties in the fold order of [by_function] and the
+     clause tables, so those never take a randomized hash seed: predictions
+     must not depend on OCAMLRUNPARAM. *)
   { cfg;
     lib;
     inventory = Hashtbl.create 4096;
-    by_function = Hashtbl.create 512;
+    by_function = Hashtbl.create ~random:false 512;
     ngram_counts = Genie_util.Counter.create ();
     atom_counts = Genie_util.Counter.create ();
     pair_counts = Genie_util.Counter.create ();
@@ -111,13 +180,11 @@ let create ?(cfg = default_config) lib : t =
     memo = Hashtbl.create 4096;
     gazettes;
     gazette_sets;
-    streams = Hashtbl.create 512;
-    queries = Hashtbl.create 1024;
-    actions = Hashtbl.create 512;
-    explainer = Hashtbl.create 1024;
-    trained_examples = 0 }
-
-(* --- training ---------------------------------------------------------------- *)
+    streams = Hashtbl.create ~random:false 512;
+    queries = Hashtbl.create ~random:false 1024;
+    actions = Hashtbl.create ~random:false 512;
+    trained_examples = 0;
+    functions = [||] }
 
 let pair_key atom gram = atom ^ " || " ^ gram
 
@@ -154,7 +221,14 @@ let register_skeleton t (sk : Skeleton.t) ~weight ~lm =
     match Hashtbl.find_opt t.inventory k with
     | Some e -> e
     | None ->
-        let e = { skeleton = sk; count = 0.0; lm_count = 0.0 } in
+        let e =
+          { skeleton = sk;
+            key = k;
+            id = Hashtbl.length t.inventory;
+            features = features_of sk;
+            count = 0.0;
+            lm_count = 0.0 }
+        in
         Hashtbl.replace t.inventory k e;
         List.iter
           (fun fa ->
@@ -275,12 +349,27 @@ let pretrain_lm t =
         register_clauses t p ~lm:true)
       t.cfg.lm_programs
 
+(* The decode-time tables that depend on the trained model alone. *)
+let derive t =
+  (* skeletons by training count, keeping registration order (newest first)
+     among equal counts *)
+  let by_count keys =
+    Array.of_list
+      (List.stable_sort
+         (fun a b -> compare b.count a.count)
+         (List.map (Hashtbl.find t.inventory) keys))
+  in
+  let functions =
+    Hashtbl.fold (fun fa keys acc -> (fa, by_count !keys) :: acc) t.by_function []
+  in
+  { t with functions = Array.of_list functions }
+
 let train ?(cfg = default_config) lib (examples : Genie_dataset.Example.t list) : t =
   let t = create ~cfg lib in
   let rng = Genie_util.Rng.create cfg.seed in
   pretrain_lm t;
   List.iter (fun e -> train_example t rng e) examples;
-  t
+  derive t
 
 (* --- scoring ------------------------------------------------------------------ *)
 
@@ -313,13 +402,17 @@ let cached_best_match t cache grams atom =
       Hashtbl.replace cache atom s;
       s
 
-let atom_weight atom =
-  if Genie_util.Tok.starts_with ~prefix:"@" atom then 2.5
-  else if Genie_util.Tok.starts_with ~prefix:"enum:" atom then 0.8
-  else if Genie_util.Tok.starts_with ~prefix:"param:" atom then 0.4
-  else if Genie_util.Tok.starts_with ~prefix:"unit:" atom then 0.2
-  else if List.mem atom [ "monitor"; "now"; "timer"; "attimer"; "edge" ] then 1.2
-  else 0.4
+(* The best explanation any known content atom gives for a word. *)
+let best_explainer t w =
+  let best = ref 1e-4 in
+  Genie_util.Counter.iter
+    (fun a _ ->
+      if is_content_atom a then begin
+        let s = cond_score t a w in
+        if s > !best then best := s
+      end)
+    t.atom_counts;
+  !best
 
 let skeleton_prior t entry =
   let train_total = float_of_int (max 1 t.trained_examples) in
@@ -329,28 +422,6 @@ let skeleton_prior t entry =
   let lm_weight = 0.5 in
   let c = entry.count +. (lm_weight *. Float.min entry.lm_count 10.0) in
   log ((c +. 0.1) /. (train_total +. 1000.0))
-
-(* The best explanation any known atom gives for a word, cached on the model
-   (the atom vocabulary is fixed after training). *)
-let best_explainer t w =
-  let cache = t.explainer in
-  match Hashtbl.find_opt cache w with
-  | Some v -> v
-  | None ->
-      let best = ref 1e-4 in
-      Genie_util.Counter.iter
-        (fun a _ ->
-          if
-            Genie_util.Tok.starts_with ~prefix:"@" a
-            || Genie_util.Tok.starts_with ~prefix:"param:" a
-            || Genie_util.Tok.starts_with ~prefix:"enum:" a
-          then begin
-            let s = cond_score t a w in
-            if s > !best then best := s
-          end)
-        t.atom_counts;
-      Hashtbl.replace cache w !best;
-      !best
 
 let scoring_stopwords =
   [ "the"; "a"; "an"; "my"; "me"; "i"; "to"; "of"; "in"; "on"; "at"; "and"; "or";
@@ -365,104 +436,85 @@ let content_tokens tokens =
              || Genie_util.Tok.starts_with ~prefix:"TIME_" w))
     tokens
 
-(* score = sum over atoms of log-support + coverage of the sentence's content
-   words by the skeleton's atoms + a prior from training/LM counts *)
+(* a when-word in the sentence indicates a stream program and vice versa:
+   a reliable surface cue the neural model also learns *)
 let when_words =
   [ "when"; "whenever"; "if"; "once"; "anytime"; "every"; "each"; "daily"; "moment";
     "soon" ]
 
+(* a pronoun suggests parameter passing ("post it", "add it to my list") *)
 let pronouns = [ "it"; "that"; "them"; "this" ]
 
-(* does the skeleton pass an upstream output into an input parameter? *)
-let has_param_passing_tokens tokens =
-  let rec go = function
-    | "=" :: p :: rest ->
-        Genie_util.Tok.starts_with ~prefix:"param:" p || go (p :: rest)
-    | _ :: rest -> go rest
-    | [] -> false
-  in
-  go tokens
+(* What scoring needs from a sentence besides its n-grams' atom support,
+   computed once per sentence: its content words (in sentence order,
+   repeats included) with their IDF weights (words common across the
+   training data carry little signal) and their best explanation by any
+   content atom; the when-word and pronoun cues; and a memo, per atom that
+   candidates ask about, of its [cond_score] against each content word. *)
+type sentence = {
+  grams : string list;
+  words : string array;
+  idf : float array;
+  explained : float array;
+  has_when : bool;
+  has_pronoun : bool;
+  atom_rows : (string, float array) Hashtbl.t;
+}
 
-let stream_kind tokens =
-  match tokens with
-  | "now" :: _ -> `Now
-  | ("monitor" | "edge" | "timer" | "attimer") :: _ -> `Stream
-  | _ -> `Now
+let sentence_of t grams content =
+  let words = Array.of_list content in
+  let n = float_of_int (max 1 t.trained_examples) in
+  (* the stopword filter removes when-words from the content words; test the
+     raw unigrams instead *)
+  let mentions ws = List.exists (fun w -> List.mem w grams) ws in
+  { grams;
+    words;
+    idf =
+      Array.map
+        (fun w ->
+          Float.max 0.0 (1.0 -. (3.0 *. Genie_util.Counter.count t.ngram_counts w /. n)))
+        words;
+    explained = Array.map (best_explainer t) words;
+    has_when = mentions when_words;
+    has_pronoun = mentions pronouns;
+    atom_rows = Hashtbl.create 512 }
 
-let score_skeleton t cache cov_cache ~grams ~content entry =
-  let sk = entry.skeleton in
-  let atoms = Skeleton.atoms sk in
-  let support =
-    List.fold_left
-      (fun acc a ->
-        let s = Float.max 1e-4 (cached_best_match t cache grams a) in
-        acc +. (atom_weight a *. Float.max (-4.0) (log s)))
-      0.0 atoms
-  in
-  let cond_cached a w =
-    let key = a ^ " || " ^ w in
-    match Hashtbl.find_opt cov_cache key with
-    | Some s -> s
-    | None ->
-        let s = cond_score t a w in
-        Hashtbl.replace cov_cache key s;
-        s
-  in
-  (* only content-bearing atoms can explain a sentence word: structural atoms
-     like 'monitor' or 'join' co-occur with everything and would cover any
-     word spuriously *)
-  let content_atoms =
-    List.filter
-      (fun a ->
-        Genie_util.Tok.starts_with ~prefix:"@" a
-        || Genie_util.Tok.starts_with ~prefix:"param:" a
-        || Genie_util.Tok.starts_with ~prefix:"enum:" a)
-      atoms
-  in
+let atom_row t (s : sentence) atom =
+  match Hashtbl.find_opt s.atom_rows atom with
+  | Some row -> row
+  | None ->
+      let row = Array.map (cond_score t atom) s.words in
+      Hashtbl.replace s.atom_rows atom row;
+      row
+
+(* score = sum over atoms of log-support + coverage of the sentence's content
+   words by the skeleton's atoms + a prior from training/LM counts + surface
+   cues *)
+let score_skeleton t cache (s : sentence) entry =
+  let f = entry.features in
+  let support = ref 0.0 in
+  for j = 0 to Array.length f.skeleton_atoms - 1 do
+    let b = Float.max 1e-4 (cached_best_match t cache s.grams f.skeleton_atoms.(j)) in
+    support := !support +. (f.weights.(j) *. Float.max (-4.0) (log b))
+  done;
   (* coverage with explaining-away: a word is well covered only if one of the
      skeleton's atoms explains it about as well as the best atom anywhere in
-     the vocabulary does; and words common across the training data carry
-     little signal (IDF weighting) *)
-  let n = float_of_int (max 1 t.trained_examples) in
-  let coverage =
-    List.fold_left
-      (fun acc w ->
-        let idf =
-          Float.max 0.0 (1.0 -. (3.0 *. Genie_util.Counter.count t.ngram_counts w /. n))
-        in
-        let cov =
-          List.fold_left (fun m a -> Float.max m (cond_cached a w)) 1e-4 content_atoms
-        in
-        let best = Float.max cov (best_explainer t w) in
-        acc +. (0.6 *. idf *. Float.max (-2.5) (log (cov /. best))))
-      0.0 content
-  in
-  (* atoms are deduplicated, so token length must carry part of the size
-     penalty: otherwise a degenerate self-join chain costs the same as a
-     single join *)
-  let size_penalty =
-    (0.11 *. float_of_int (List.length atoms))
-    +. (0.012 *. float_of_int (List.length sk.Skeleton.tokens))
-  in
-  (* a when-word in the sentence indicates a stream program and vice versa:
-     a reliable surface cue the neural model also learns *)
-  (* the stopword filter removes when-words from [content]; test the raw
-     unigrams instead *)
-  let has_when = List.exists (fun w -> List.mem w grams) when_words in
-  let stream_bonus =
-    match (stream_kind sk.Skeleton.tokens, has_when) with
-    | `Now, false | `Stream, true -> 0.6
-    | `Now, true | `Stream, false -> -1.2
-  in
-  (* a pronoun suggests parameter passing ("post it", "add it to my list") *)
-  let has_pronoun = List.exists (fun w -> List.mem w grams) pronouns in
+     the vocabulary does *)
+  let rows = Array.map (atom_row t s) f.content_atoms in
+  let coverage = ref 0.0 in
+  for i = 0 to Array.length s.words - 1 do
+    let c = Array.fold_left (fun m row -> Float.max m row.(i)) 1e-4 rows in
+    let best = Float.max c s.explained.(i) in
+    coverage := !coverage +. (0.6 *. s.idf.(i) *. Float.max (-2.5) (log (c /. best)))
+  done;
+  let stream_bonus = if f.is_stream = s.has_when then 0.6 else -1.2 in
   let passing_bonus =
-    match (has_pronoun, has_param_passing_tokens sk.Skeleton.tokens) with
+    match (s.has_pronoun, f.passing) with
     | true, true -> 1.0
     | false, true -> -0.4
     | _ -> 0.0
   in
-  support +. coverage -. size_penalty +. stream_bonus +. passing_bonus
+  !support +. !coverage -. f.size_penalty +. stream_bonus +. passing_bonus
   +. (0.3 *. skeleton_prior t entry)
 
 (* --- slot filling -------------------------------------------------------------- *)
@@ -614,14 +666,7 @@ let fill_slots t (sk : Skeleton.t) (norm : Genie_dataset.Argument_id.result) :
     (string * Value.t) list * float =
   let tokens = norm.Genie_dataset.Argument_id.tokens in
   let tokens_arr = Array.of_list tokens in
-  let content_atoms =
-    List.filter
-      (fun a ->
-        Genie_util.Tok.starts_with ~prefix:"@" a
-        || Genie_util.Tok.starts_with ~prefix:"param:" a
-        || Genie_util.Tok.starts_with ~prefix:"enum:" a)
-      (Skeleton.atoms sk)
-  in
+  let content_atoms = List.filter is_content_atom (Skeleton.atoms sk) in
   let cue_cache = Hashtbl.create 32 in
   let cue w =
     match Hashtbl.find_opt cue_cache w with
@@ -775,27 +820,46 @@ type prediction = {
 
 let no_prediction = { program = None; nn_tokens = []; score = neg_infinity }
 
-(* Candidate skeleton keys via the inverted function-atom index. Functions
-   are ranked by sentence support and their skeletons by training count, then
+(* The first [k] elements of [List.stable_sort] by descending score, without
+   sorting the rest: a later element displaces a kept one only by scoring
+   strictly higher, so ties keep list order. *)
+let top_k k (xs : (float * 'a) list) =
+  let k = min k (List.length xs) in
+  match xs with
+  | x0 :: _ when k > 0 ->
+      let buf = Array.make k x0 in
+      let n = ref 0 in
+      List.iter
+        (fun ((s, _) as x) ->
+          if !n < k || Float.compare s (fst buf.(k - 1)) > 0 then begin
+            let i = ref (min !n (k - 1)) in
+            while !i > 0 && Float.compare (fst buf.(!i - 1)) s < 0 do
+              buf.(!i) <- buf.(!i - 1);
+              decr i
+            done;
+            buf.(!i) <- x;
+            if !n < k then incr n
+          end)
+        xs;
+      Array.to_list (Array.sub buf 0 !n)
+  | _ -> []
+
+(* Candidate skeletons via the inverted function-atom index. Functions are
+   ranked by sentence support and their skeletons by training count, then
    interleaved round-robin up to the cap -- a global cut-off would silently
    drop every skeleton of lower-ranked functions, including the right one. *)
-let candidate_keys t cache grams =
-  let scored_functions =
-    Hashtbl.fold
-      (fun fa keys acc ->
-        let s = cached_best_match t cache grams fa in
-        if s > 0.0 then (s, keys) :: acc else acc)
-      t.by_function []
+let candidate_entries t cache grams =
+  let ranked =
+    List.stable_sort
+      (fun (a, _) (b, _) -> compare b a)
+      (Array.fold_right
+         (fun (fa, entries) acc ->
+           let s = cached_best_match t cache grams fa in
+           if s > 0.0 then (s, entries) :: acc else acc)
+         t.functions [])
   in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare b a) scored_functions in
-  let by_count ks =
-    let count k =
-      match Hashtbl.find_opt t.inventory k with Some e -> e.count | None -> 0.0
-    in
-    Array.of_list (List.sort (fun a b -> compare (count b) (count a)) ks)
-  in
-  let arrays = List.map (fun (_, ks) -> by_count !ks) sorted in
-  let seen = Hashtbl.create 1024 in
+  let arrays = List.map snd ranked in
+  let seen = Bytes.make (Hashtbl.length t.inventory) '\000' in
   let out = ref [] in
   let n = ref 0 in
   let level = ref 0 in
@@ -806,10 +870,10 @@ let candidate_keys t cache grams =
       (fun arr ->
         if !level < Array.length arr && !n < t.cfg.max_candidates then begin
           progress := true;
-          let k = arr.(!level) in
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.replace seen k ();
-            out := k :: !out;
+          let e = arr.(!level) in
+          if Bytes.get seen e.id = '\000' then begin
+            Bytes.set seen e.id '\001';
+            out := e :: !out;
             incr n
           end
         end)
@@ -817,6 +881,8 @@ let candidate_keys t cache grams =
     incr level
   done;
   !out
+
+let candidate_keys t cache grams = List.map (fun e -> e.key) (candidate_entries t cache grams)
 
 (* Select an output parameter able to fill a hole of the given type. *)
 let pick_out_for_hole ~outs ~hole_ip ~hole_ty =
@@ -860,11 +926,8 @@ let clause_score t cache grams (e : clause_entry) =
   support /. n
 
 let top_clauses t cache grams tbl k =
-  let scored =
-    Hashtbl.fold (fun _ e acc -> (clause_score t cache grams e, e) :: acc) tbl []
-  in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare b a) scored in
-  List.filteri (fun i _ -> i < k) sorted |> List.map snd
+  Hashtbl.fold (fun _ e acc -> (clause_score t cache grams e, e) :: acc) tbl []
+  |> top_k k |> List.map snd
 
 let compose_candidates t cache grams : skeleton_entry list =
   let k = 5 in
@@ -927,7 +990,7 @@ let compose_candidates t cache grams : skeleton_entry list =
                       let key = Skeleton.key sk in
                       if not (Hashtbl.mem t.inventory key) then
                         (* composed programs inherit a discounted prior *)
-                        out := { skeleton = sk; count = 0.3 *. min_count; lm_count = 0.0 } :: !out
+                        out := (sk, key, 0.3 *. min_count) :: !out
                     end
                   in
                   emit { Ast.stream; query; action };
@@ -966,26 +1029,26 @@ let compose_candidates t cache grams : skeleton_entry list =
             action_opts)
         query_opts)
     stream_opts;
-  (* deduplicate composed candidates, keeping the highest prior *)
-  let best = Hashtbl.create 64 in
+  (* deduplicate composed candidates, keeping the highest prior; the fold
+     order breaks score ties, so the table is never randomized *)
+  let best = Hashtbl.create ~random:false 64 in
   List.iter
-    (fun e ->
-      let k = Skeleton.key e.skeleton in
-      match Hashtbl.find_opt best k with
-      | Some e' when e'.count >= e.count -> ()
-      | _ -> Hashtbl.replace best k e)
+    (fun ((_, key, count) as c) ->
+      match Hashtbl.find_opt best key with
+      | Some (_, _, count') when count' >= count -> ()
+      | _ -> Hashtbl.replace best key c)
     !out;
-  Hashtbl.fold (fun _ e acc -> e :: acc) best []
+  Hashtbl.fold
+    (fun _ (sk, key, count) acc ->
+      { skeleton = sk; key; id = -1; features = features_of sk; count; lm_count = 0.0 }
+      :: acc)
+    best []
 
 (* The decode loop reports three phases to an optional tracing scope:
    candidate ranking, beam truncation, and slot filling. With no scope the
-   clock is never read and the only cost is a match on [None]. *)
-(* [predict] with a caller-supplied conditional-coverage cache. Entries of
-   [cov_cache] are [cond_score t a w] values -- pure functions of the model,
-   never of the sentence -- so sharing one table across a batch of sentences
-   is observationally transparent; only the per-sentence gram cache below
-   stays private. *)
-let predict_with ?scope ~cov_cache t (sentence_tokens : string list) : prediction =
+   clock is never read and the only cost is a match on [None]. Every
+   per-sentence table is local to the call; the model is only read. *)
+let predict ?scope t (sentence_tokens : string list) : prediction =
   let module Tracer = Genie_observe.Tracer in
   let now () = match scope with Some _ -> Tracer.now_ns () | None -> 0.0 in
   let d0 = now () in
@@ -1002,31 +1065,23 @@ let predict_with ?scope ~cov_cache t (sentence_tokens : string list) : predictio
         | _ -> None)
     | None -> None
   in
-  let cache : (string, float) Hashtbl.t = Hashtbl.create 512 in
-  let content = content_tokens norm.Genie_dataset.Argument_id.tokens in
-  let cands = candidate_keys t cache grams in
+  let cache = Hashtbl.create 512 in
+  let sentence = sentence_of t grams (content_tokens norm.Genie_dataset.Argument_id.tokens) in
   let inventory_scored =
-    List.filter_map
-      (fun k ->
-        match Hashtbl.find_opt t.inventory k with
-        | None -> None
-        | Some entry ->
-            let s = score_skeleton t cache cov_cache ~grams ~content entry in
-            let s = if memo_boost = Some k then s +. 10.0 else s in
-            Some (s, entry))
-      cands
+    List.map
+      (fun entry ->
+        let s = score_skeleton t cache sentence entry in
+        ((if memo_boost = Some entry.key then s +. 10.0 else s), entry))
+      (candidate_entries t cache grams)
   in
   let composed_scored =
     List.map
-      (fun entry -> (score_skeleton t cache cov_cache ~grams ~content entry, entry))
+      (fun entry -> (score_skeleton t cache sentence entry, entry))
       (compose_candidates t cache grams)
   in
   let scored = inventory_scored @ composed_scored in
   let d1 = now () in
-  let top =
-    List.filteri (fun i _ -> i < t.cfg.beam)
-      (List.sort (fun (a, _) (b, _) -> compare b a) scored)
-  in
+  let top = top_k t.cfg.beam scored in
   let d2 = now () in
   let completed =
     List.filter_map
@@ -1034,18 +1089,19 @@ let predict_with ?scope ~cov_cache t (sentence_tokens : string list) : predictio
         let values, fill_score = fill_slots t entry.skeleton norm in
         match Skeleton.fill ~options:t.cfg.options t.lib entry.skeleton values with
         | Some program ->
-            Some
+            let p =
               { program = Some program;
-                nn_tokens =
-                  Nn_syntax.to_tokens ~options:t.cfg.options t.lib program;
+                nn_tokens = Nn_syntax.to_tokens ~options:t.cfg.options t.lib program;
                 score = s +. (0.5 *. fill_score) }
+            in
+            Some (p.score, p)
         | None -> None)
       top
   in
   let best =
-    match List.sort (fun a b -> compare b.score a.score) completed with
-    | best :: _ -> best
-    | [] -> no_prediction
+    match top_k 1 completed with
+    | [ (_, best) ] -> best
+    | _ -> no_prediction
   in
   (match scope with
   | Some sc ->
@@ -1062,16 +1118,7 @@ let predict_with ?scope ~cov_cache t (sentence_tokens : string list) : predictio
   | None -> ());
   best
 
-let predict ?scope t (sentence_tokens : string list) : prediction =
-  predict_with ?scope ~cov_cache:(Hashtbl.create 4096) t sentence_tokens
-
-(* Batched prediction: one shared conditional-coverage cache across the
-   whole batch (its entries are sentence-independent, see [predict_with]),
-   so repeated atom/word pairs are scored once per batch instead of once per
-   sentence. Results are byte-identical to mapping [predict]. *)
-let predict_batch t (batch : string list list) : prediction list =
-  let cov_cache : (string, float) Hashtbl.t = Hashtbl.create 4096 in
-  List.map (fun sentence -> predict_with ~cov_cache t sentence) batch
+let predict_batch t (batch : string list list) : prediction list = List.map (predict t) batch
 
 (* accessor used by the beam field *)
 let cfg t = t.cfg
@@ -1082,12 +1129,12 @@ let cfg t = t.cfg
    inventory priors, clause fragments, alignment and copy counters, and the
    decoding-relevant config. Every table is folded in sorted key order, so
    the digest is independent of hash-table iteration order (OCAMLRUNPARAM=R
-   safe) and of how the model was built, shared or copied. Scratch caches
-   ([memo], [explainer]) and derived indexes ([by_function]) are excluded:
-   they never change what predict returns. Equal digests mean the models
-   answer every sentence identically -- the serve layer's hot-swap uses this
-   as the parse-cache invalidation key and the active-model identity in
-   stats. *)
+   safe) and of how the model was built, shared or copied. Left out: the
+   sentence memo, and the indexes derived from the counted tables
+   ([by_function], [functions], each skeleton's [features]). Equal digests
+   mean the models answer every sentence identically -- the serve layer's
+   hot-swap uses this as the parse-cache invalidation key and the
+   active-model identity in stats. *)
 let digest (t : t) =
   let h = ref (Genie_util.Hash64.string 0L "genie.aligner") in
   let add_s s = h := Genie_util.Hash64.string !h s in

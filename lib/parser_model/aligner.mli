@@ -33,8 +33,25 @@ type config = {
 
 val default_config : config
 
+(** Scoring features of a skeleton, fixed when its entry is created: its
+    {!Skeleton.atoms} with their {!atom_weight}s, its content atoms
+    (function, parameter and enum atoms: the ones that can explain a
+    sentence word), its size penalty, whether it is a stream program, and
+    whether it passes a parameter. *)
+type features = {
+  skeleton_atoms : string array;
+  weights : float array;
+  content_atoms : string array;
+  size_penalty : float;
+  is_stream : bool;
+  passing : bool;
+}
+
 type skeleton_entry = {
   skeleton : Skeleton.t;
+  key : string;  (** [Skeleton.key skeleton] *)
+  id : int;  (** registration order in the inventory; [-1] when composed *)
+  features : features;
   mutable count : float;
   mutable lm_count : float;
 }
@@ -68,15 +85,24 @@ type t = {
   streams : (string, clause_entry) Hashtbl.t;
   queries : (string, clause_entry) Hashtbl.t;
   actions : (string, clause_entry) Hashtbl.t;
-  explainer : (string, float) Hashtbl.t;
   mutable trained_examples : int;
+  functions : (string * skeleton_entry array) array;
+      (** per function atom: its skeletons sorted by training count *)
 }
 
 val train :
   ?cfg:config -> Schema.Library.t -> Genie_dataset.Example.t list -> t
 (** Builds the model from a training set: argument-identifies each sentence,
     canonicalizes (or deliberately shuffles, for the ablation) each program,
-    and accumulates inventory, clause, alignment and copy statistics. *)
+    and accumulates inventory, clause, alignment and copy statistics.
+
+    Each skeleton's scoring {!features} are computed once, when it enters
+    the inventory, and [train] ends by sorting each function atom's
+    skeletons by training count ([functions]), so a decode spends no time
+    on either. The result is never written again: one [t] can serve any
+    number of domains at once. Score ties are broken in an order that does
+    not depend on the hash seed, so predictions are the same under
+    [OCAMLRUNPARAM=R]. *)
 
 type prediction = {
   program : Ast.program option;
@@ -92,24 +118,15 @@ val predict :
     an inverted function index) and from clause composition are scored by
     atom support + coverage + priors + surface cues, the best few are
     slot-filled, and the best completed program wins. The output always
-    type-checks. With [scope], the decode loop reports its three phases
+    type-checks. Each atom's support from the sentence's n-grams, each
+    (atom, content word) coverage score and the sentence-level cues are
+    computed at most once per sentence and shared by every candidate. With
+    [scope], the decode loop reports its three phases
     ([decode.rank], [decode.beam], [decode.slots]) as child spans; without
-    it, no clocks are read. *)
-
-val predict_with :
-  ?scope:Genie_observe.Tracer.scope ->
-  cov_cache:(string, float) Hashtbl.t ->
-  t ->
-  string list ->
-  prediction
-(** {!predict} with a caller-supplied conditional-coverage cache. Its
-    entries are pure functions of the model (never the sentence), so one
-    table can be shared across a batch transparently. *)
+    it, no clocks are read. Only reads [t]. *)
 
 val predict_batch : t -> string list list -> prediction list
-(** Batched prediction sharing one conditional-coverage cache across the
-    batch: repeated atom/word pairs are scored once per batch instead of
-    once per sentence. Byte-identical to mapping {!predict}. *)
+(** [List.map (predict t)]: the evaluation entry point. *)
 
 (** {2 Exposed internals}
 
@@ -124,21 +141,35 @@ val cached_best_match : t -> (string, float) Hashtbl.t -> string list -> string 
 val atom_weight : string -> float
 val best_explainer : t -> string -> float
 
+val top_k : int -> (float * 'a) list -> (float * 'a) list
+(** [top_k k xs] is the first [k] elements of [xs] stably sorted by
+    descending score, found without sorting the rest. *)
+
+type sentence
+(** What scoring needs from one sentence besides its atom support: its
+    content words ({!content_tokens}) with IDF weights and their
+    {!best_explainer}, its when-word and pronoun cues, and a memo, per atom,
+    of its {!cond_score} against each content word. *)
+
+val sentence_of : t -> string list -> string list -> sentence
+(** [sentence_of t grams content] for a sentence's n-grams and content
+    words. *)
+
+(** The decode steps below take a per-sentence {!cached_best_match} table
+    (atom -> support); pass a fresh one per sentence, or share one between
+    the steps of a sentence. *)
+
 val score_skeleton :
-  t ->
-  (string, float) Hashtbl.t ->
-  (string, float) Hashtbl.t ->
-  grams:string list ->
-  content:string list ->
-  skeleton_entry ->
-  float
+  t -> (string, float) Hashtbl.t -> sentence -> skeleton_entry -> float
 
 val candidate_keys : t -> (string, float) Hashtbl.t -> string list -> string list
 val compose_candidates : t -> (string, float) Hashtbl.t -> string list -> skeleton_entry list
 val clause_score : t -> (string, float) Hashtbl.t -> string list -> clause_entry -> float
+
 val top_clauses :
   t -> (string, float) Hashtbl.t -> string list -> (string, clause_entry) Hashtbl.t ->
   int -> clause_entry list
+
 val clause_key : clause -> string
 
 val fill_slots :

@@ -174,11 +174,10 @@ let metrics_of_counts (c : counts) : metrics =
            2.0 *. float_of_int c.c_inter
            /. float_of_int (c.c_pred + c.c_gold)) }
 
-(* Scores a test set against predictions obtained in one batched pass --
-   the whole-set prediction call lets the predictor amortize shared scoring
-   work (see Aligner.predict_batch). Metrics are identical to the
-   per-example driver as long as the batched predictor agrees with the
-   per-example one. *)
+(* Scores a test set against predictions obtained in one batched pass (such
+   as Aligner.predict_batch). Metrics are identical to the per-example
+   driver as long as the batched predictor agrees with the per-example
+   one. *)
 let evaluate_batched lib
     (predict_batch : string list list -> Ast.program option list)
     (examples : Genie_dataset.Example.t list) : metrics =

@@ -37,8 +37,7 @@ val evaluate_batched :
   (string list list -> Ast.program option list) ->
   Genie_dataset.Example.t list ->
   metrics
-(** {!evaluate} driven by one whole-set prediction call, letting the
-    predictor amortize shared scoring work across the batch (see
+(** {!evaluate} driven by one whole-set prediction call (such as
     [Aligner.predict_batch]); metrics are identical to {!evaluate} whenever
     the batched predictor agrees with the per-example one. *)
 

@@ -4,9 +4,9 @@
    - [digest] is computed once per underlying backend and threaded through
      [fork], so a fleet of worker handles agrees on the active model's
      identity without re-hashing the tables/weights per worker.
-   - [fork] privatizes exactly the per-handle mutable scratch: the
-     aligner's explainer memo (a lazily-filled Hashtbl that predict
-     writes), the seq2seq's tensor arena. Everything heavy is shared. *)
+   - [fork] privatizes exactly the per-handle mutable scratch, which only
+     the seq2seq has (its tensor arena). A trained aligner is read-only, so
+     its fork is the handle itself. Everything heavy is shared. *)
 
 open Genie_thingtalk
 
@@ -32,18 +32,13 @@ type t = {
 }
 
 let of_aligner al =
-  let digest = Aligner.digest al in
-  let rec make al =
+  let rec m =
     { kind = Kind_aligner;
-      digest;
+      digest = Aligner.digest al;
       predict = (fun ?scope tokens -> Aligner.predict ?scope al tokens);
-      fork =
-        (fun () ->
-          make
-            { al with
-              Aligner.explainer = Hashtbl.copy al.Aligner.explainer }) }
+      fork = (fun () -> m) }
   in
-  make al
+  m
 
 let of_seq2seq ?options ?max_len ~lib model =
   let digest = Genie_nn.Seq2seq.weight_digest model in

@@ -11,11 +11,11 @@
     ({!Aligner.predict_batch}) is an evaluation path and is not part of
     this interface.
 
-    Handles are {e not} domain-safe: both backends carry per-handle mutable
-    scratch (the aligner's lazily-filled explainer memo, the seq2seq's
-    tensor arena). Call {!fork} to mint a sibling handle for each worker —
-    the heavy read-only state (statistical tables, weights) stays
-    physically shared, only the scratch is private. *)
+    A seq2seq handle is {e not} domain-safe: it carries a per-handle tensor
+    arena. Call {!fork} to mint a sibling handle for each worker — the heavy
+    read-only state (weights) stays physically shared, only the scratch is
+    private. An aligner handle is domain-safe (a trained aligner is only
+    read), and its [fork] returns the handle itself. *)
 
 open Genie_thingtalk
 
@@ -43,15 +43,14 @@ type t = {
       (** Parses one tokenized sentence. [scope] is forwarded to backends
           that trace (the aligner); others ignore it. *)
   fork : unit -> t;
-      (** A sibling handle with private mutable scratch and shared
-          read-only state; same [kind] and [digest]. *)
+      (** A sibling handle with private mutable scratch (if the backend
+          has any) and shared read-only state; same [kind] and [digest]. *)
 }
 
 val of_aligner : Aligner.t -> t
 (** Wraps a trained aligner. [predict] is the aligner's own, so responses
-    are byte-identical to calling it directly; [fork] takes the
-    shallow-copy-with-private-explainer that the serve engine historically
-    took. *)
+    are byte-identical to calling it directly; [fork] shares the handle and
+    copies nothing. *)
 
 val of_seq2seq :
   ?options:Nn_syntax.options ->

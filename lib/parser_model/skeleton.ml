@@ -85,6 +85,8 @@ let structural_atoms =
   [ "now"; "monitor"; "edge"; "timer"; "attimer"; "notify"; "join"; "filter"; "agg";
     "max"; "min"; "sum"; "avg"; "count"; "new"; "not"; "or" ]
 
+let comp_op_atoms = List.map Ast.comp_op_to_string Ast.all_comp_ops
+
 let is_atom tok =
   Genie_util.Tok.starts_with ~prefix:"@" tok
   || Genie_util.Tok.starts_with ~prefix:"param:" tok
@@ -92,7 +94,7 @@ let is_atom tok =
   || Genie_util.Tok.starts_with ~prefix:"unit:" tok
   || Genie_util.Tok.starts_with ~prefix:"location:" tok
   || List.mem tok structural_atoms
-  || List.mem tok (List.map Ast.comp_op_to_string Ast.all_comp_ops)
+  || List.mem tok comp_op_atoms
 
 let atoms sk = List.sort_uniq compare (List.filter is_atom sk.tokens)
 

@@ -1,10 +1,11 @@
 (* The per-worker request engine.
 
-   Thread-safety inventory of the shared model: a [Model.t] handle carries
-   per-handle mutable scratch (the aligner's lazily-filled [explainer] memo,
-   the seq2seq's tensor arena) that is unsafe to share across domains, so
-   each engine [Model.fork]s its own handle; the heavy read-only state
-   (statistical tables, weights) stays physically shared behind the forks.
+   Thread-safety inventory of the shared model: a seq2seq [Model.t] handle
+   carries per-handle mutable scratch (its tensor arena) that is unsafe to
+   share across domains, so each engine [Model.fork]s its own handle; the
+   heavy read-only state (weights) stays physically shared behind the
+   forks. A trained aligner is never written, so its fork is the shared
+   handle itself.
 
    Fault injection: an engine created with a fault raises
    [Fault.Injected_crash] out of [process] for scheduled (id, attempt)
@@ -32,7 +33,7 @@ type cached = { pred : Model.prediction; text : string option }
 
 type t = {
   lib : Schema.Library.t;
-  mutable model : Model.t;  (* private fork: own mutable scratch *)
+  mutable model : Model.t;  (* own fork: private scratch, if the backend has any *)
   cache : cached Lru.t;
   env : Genie_runtime.Exec.env;
   metrics : Metrics.t;

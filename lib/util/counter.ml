@@ -1,24 +1,28 @@
 (* Multiset of strings; used for vocabulary statistics, alignment counts and
    n-gram language models. *)
 
-type t = { tbl : (string, float) Hashtbl.t; mutable total : float }
+(* Counts live in mutable cells, so adding to a known key hashes it once and
+   updates the float in place. *)
+type cell = { mutable n : float }
+type t = { tbl : (string, cell) Hashtbl.t; mutable total : float }
 
 let create () = { tbl = Hashtbl.create 64; total = 0.0 }
 
 let add ?(weight = 1.0) t key =
-  let cur = try Hashtbl.find t.tbl key with Not_found -> 0.0 in
-  Hashtbl.replace t.tbl key (cur +. weight);
+  (match Hashtbl.find t.tbl key with
+  | c -> c.n <- c.n +. weight
+  | exception Not_found -> Hashtbl.add t.tbl key { n = 0.0 +. weight });
   t.total <- t.total +. weight
 
-let count t key = try Hashtbl.find t.tbl key with Not_found -> 0.0
+let count t key = match Hashtbl.find t.tbl key with c -> c.n | exception Not_found -> 0.0
 
 let mem t key = Hashtbl.mem t.tbl key
 let total t = t.total
 let distinct t = Hashtbl.length t.tbl
 
-let iter f t = Hashtbl.iter f t.tbl
+let iter f t = Hashtbl.iter (fun k c -> f k c.n) t.tbl
 
-let to_list t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
+let to_list t = Hashtbl.fold (fun k c acc -> (k, c.n) :: acc) t.tbl []
 
 let top n t =
   let items = to_list t in

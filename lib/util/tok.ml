@@ -90,13 +90,22 @@ let all_ngrams max_n toks =
   done;
   !out
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+(* [affix_at s ~at a]: whether [a] occurs in [s] at offset [at], compared in
+   place -- these helpers sit on the parser's decode path, so they must not
+   copy or allocate. *)
+let affix_at s ~at a =
+  let n = String.length a in
+  at >= 0
+  && at + n <= String.length s
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get s (at + !i) = String.unsafe_get a !i do
+    incr i
+  done;
+  !i = n
 
-let ends_with ~suffix s =
-  String.length s >= String.length suffix
-  && String.sub s (String.length s - String.length suffix) (String.length suffix) = suffix
+let starts_with ~prefix s = affix_at s ~at:0 prefix
+let ends_with ~suffix s = affix_at s ~at:(String.length s - String.length suffix) suffix
 
 let contains_substring ~sub s =
   let n = String.length s and m = String.length sub in

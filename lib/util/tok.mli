@@ -23,7 +23,13 @@ val all_ngrams : int -> string list -> string list
 (** All n-grams for n in [1, max], each joined with spaces. *)
 
 val starts_with : prefix:string -> string -> bool
+(** [starts_with ~prefix s]: whether [s] begins with [prefix] (always true
+    for [""]). Allocates nothing. *)
+
 val ends_with : suffix:string -> string -> bool
+(** [ends_with ~suffix s]: whether [s] ends with [suffix] (always true for
+    [""]). Allocates nothing. *)
+
 val contains_substring : sub:string -> string -> bool
 val split_on_string : sep:string -> string -> string list
 

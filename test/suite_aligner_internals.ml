@@ -123,6 +123,37 @@ let test_predict_scores_ordered () =
     (p.Aligner.score > neg_infinity);
   Alcotest.(check bool) "nn tokens non-empty" true (p.Aligner.nn_tokens <> [])
 
+(* Bounded top-k selection must be exactly the head of the stable sort the
+   decoder used to run, ties included: a later candidate never displaces an
+   equal-scoring earlier one. Scores come from a small pool so ties and
+   duplicates are common; the payload is the position, so any reordering
+   among equal scores shows. *)
+let qcheck_top_k_is_stable_sort_prefix =
+  let score = QCheck.Gen.oneofl [ neg_infinity; -3.5; -1.0; 0.0; 0.0; 2.25; infinity ] in
+  let gen =
+    QCheck.Gen.(pair (int_range 0 12) (list_size (int_range 0 20) score))
+  in
+  let print (k, xs) =
+    Printf.sprintf "k=%d [%s]" k (String.concat "; " (List.map string_of_float xs))
+  in
+  QCheck.Test.make ~name:"top_k = prefix of the stable descending sort" ~count:500
+    (QCheck.make ~print gen)
+    (fun (k, scores) ->
+      let xs = List.mapi (fun i s -> (s, i)) scores in
+      let expected =
+        List.filteri (fun i _ -> i < k) (List.stable_sort (fun (a, _) (b, _) -> compare b a) xs)
+      in
+      Aligner.top_k k xs = expected)
+
+let test_top_k_edges () =
+  let xs = [ (1.0, "a"); (neg_infinity, "b"); (1.0, "c"); (5.0, "d") ] in
+  Alcotest.(check (list string)) "k = 0" [] (List.map snd (Aligner.top_k 0 xs));
+  Alcotest.(check (list string)) "k > length" [ "d"; "a"; "c"; "b" ]
+    (List.map snd (Aligner.top_k 9 xs));
+  Alcotest.(check (list string)) "ties keep list order" [ "d"; "a" ]
+    (List.map snd (Aligner.top_k 2 xs));
+  Alcotest.(check (list string)) "empty" [] (List.map snd (Aligner.top_k 3 []))
+
 let test_pipeline_combo_key () =
   let p = parse "monitor (@com.gmail.inbox()) => @com.thecatapi.get() => notify;" in
   Alcotest.(check string) "sorted function set"
@@ -151,5 +182,7 @@ let suite =
       test_compose_reaches_unseen_combo;
     Alcotest.test_case "span score features" `Quick test_span_score_features;
     Alcotest.test_case "prediction fields" `Quick test_predict_scores_ordered;
+    Alcotest.test_case "top-k edge cases" `Quick test_top_k_edges;
+    QCheck_alcotest.to_alcotest qcheck_top_k_is_stable_sort_prefix;
     Alcotest.test_case "pipeline combo key" `Quick test_pipeline_combo_key;
     Alcotest.test_case "config scaling" `Quick test_config_scaled ]

@@ -139,6 +139,79 @@ let test_synthesis_stats () =
   Alcotest.(check bool) "paraphrases add words on average" true
     (s.Genie_core.Experiments.new_words_per_paraphrase > 0.0)
 
+(* The aligner's exact output on a fixed slice of realistic commands: the
+   first 64 distinct section 5.1 generator commands for seed 5, parsed by
+   the scale-0.45 pipeline model. The digest folds each prediction's printed
+   program, NN tokens and the bits of its score, so any change to decoding
+   -- however small -- moves it. Regold only for an intended change to what
+   the aligner answers. *)
+let golden_sentences =
+  lazy
+    (let module G = Genie_evaldata.Generators in
+     let seed = 5 and n = 40 in
+     let all =
+       G.developer lib ~prims ~rules ~seed ~n
+       @ G.cheatsheet lib ~prims ~rules ~seed ~n ()
+       @ G.ifttt lib ~prims ~seed ~n
+     in
+     let seen = Hashtbl.create 128 in
+     List.filter_map
+       (fun e ->
+         let toks = (Genie_dataset.Example.strip_quotes e).Genie_dataset.Example.tokens in
+         let key = String.concat " " toks in
+         if Hashtbl.mem seen key then None
+         else begin
+           Hashtbl.add seen key ();
+           Some toks
+         end)
+       all
+     |> List.filteri (fun i _ -> i < 64))
+
+let prediction_digest preds =
+  let h = ref (Genie_util.Hash64.string 0L "aligner.predict") in
+  List.iter
+    (fun (p : Genie_parser_model.Aligner.prediction) ->
+      h :=
+        Genie_util.Hash64.string !h
+          (match p.Genie_parser_model.Aligner.program with
+          | Some prog -> Printer.program_to_string prog
+          | None -> "<none>");
+      h := Genie_util.Hash64.string !h (String.concat " " p.Genie_parser_model.Aligner.nn_tokens);
+      h := Genie_util.Hash64.combine !h (Int64.bits_of_float p.Genie_parser_model.Aligner.score))
+    preds;
+  Genie_util.Hash64.to_hex !h
+
+let read_golden name =
+  let rel = Filename.concat "golden" name in
+  let path = if Sys.file_exists rel then rel else Filename.concat "test" rel in
+  let ic = open_in path in
+  let line = input_line ic in
+  close_in ic;
+  line
+
+let test_aligner_predict_golden () =
+  let a = Lazy.force artifacts in
+  let sentences = Lazy.force golden_sentences in
+  Alcotest.(check int) "64 golden sentences" 64 (List.length sentences);
+  let preds = List.map (Genie_parser_model.Aligner.predict a.Pipeline.model) sentences in
+  let line = Printf.sprintf "n=%d digest=%s" (List.length preds) (prediction_digest preds) in
+  if Sys.getenv_opt "GOLDEN_DUMP" = Some "1" then
+    Printf.printf "test/golden/aligner_predict.digest: %s\n%!" line;
+  Alcotest.(check string) "golden aligner digest" (read_golden "aligner_predict.digest") line
+
+(* A trained aligner is read-only: two domains decoding the golden slice
+   from one shared model at once must each get the sequential answers. *)
+let test_aligner_shared_across_domains () =
+  let a = Lazy.force artifacts in
+  let model = a.Pipeline.model in
+  let sentences = Lazy.force golden_sentences in
+  let run () = List.map (Genie_parser_model.Aligner.predict model) sentences in
+  let sequential = prediction_digest (run ()) in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check string) "first domain" sequential (prediction_digest r1);
+  Alcotest.(check string) "second domain" sequential (prediction_digest r2)
+
 let test_tacl_case_study_plumbing () =
   (* one miniature TACL training run end-to-end *)
   let tacl_lib = Genie_core.Case_studies.tacl_library () in
@@ -163,4 +236,7 @@ let suite =
     Alcotest.test_case "fig1 end to end" `Slow test_fig1_end_to_end;
     Alcotest.test_case "fig7 characteristics" `Slow test_fig7_characteristics;
     Alcotest.test_case "synthesis statistics" `Slow test_synthesis_stats;
-    Alcotest.test_case "tacl case-study plumbing" `Slow test_tacl_case_study_plumbing ]
+    Alcotest.test_case "tacl case-study plumbing" `Slow test_tacl_case_study_plumbing;
+    Alcotest.test_case "golden aligner predictions" `Slow test_aligner_predict_golden;
+    Alcotest.test_case "aligner shared across domains" `Slow
+      test_aligner_shared_across_domains ]

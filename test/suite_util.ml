@@ -108,6 +108,37 @@ let test_string_helpers () =
   Alcotest.(check (list string))
     "split_on_string" [ "a"; "b"; "c" ] (Tok.split_on_string ~sep:"::" "a::b::c")
 
+let test_affix_edges () =
+  Alcotest.(check bool) "empty prefix" true (Tok.starts_with ~prefix:"" "abc");
+  Alcotest.(check bool) "empty prefix, empty string" true (Tok.starts_with ~prefix:"" "");
+  Alcotest.(check bool) "prefix longer than string" false (Tok.starts_with ~prefix:"abcd" "abc");
+  Alcotest.(check bool) "prefix equal to string" true (Tok.starts_with ~prefix:"abc" "abc");
+  Alcotest.(check bool) "last char differs" false (Tok.starts_with ~prefix:"abd" "abcd");
+  Alcotest.(check bool) "empty suffix" true (Tok.ends_with ~suffix:"" "abc");
+  Alcotest.(check bool) "empty suffix, empty string" true (Tok.ends_with ~suffix:"" "");
+  Alcotest.(check bool) "suffix longer than string" false (Tok.ends_with ~suffix:"zabc" "abc");
+  Alcotest.(check bool) "suffix equal to string" true (Tok.ends_with ~suffix:"abc" "abc");
+  Alcotest.(check bool) "first char differs" false (Tok.ends_with ~suffix:"xbc" "abc")
+
+let test_affix_no_alloc () =
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let base = words (fun () -> ()) in
+  let used =
+    words (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Tok.starts_with ~prefix:"param:" "param:caption"));
+          ignore (Sys.opaque_identity (Tok.ends_with ~suffix:".get" "@com.thecatapi.get"))
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "2000 affix tests allocate under 1000 words (%.0f)" (used -. base))
+    true
+    (used -. base < 1000.0)
+
 let test_counter () =
   let c = Counter.create () in
   Counter.add c "x";
@@ -244,6 +275,8 @@ let suite =
     Alcotest.test_case "ngrams" `Quick test_ngrams;
     Alcotest.test_case "match_sub" `Quick test_match_sub;
     Alcotest.test_case "string helpers" `Quick test_string_helpers;
+    Alcotest.test_case "affix edge cases" `Quick test_affix_edges;
+    Alcotest.test_case "affix tests do not allocate" `Quick test_affix_no_alloc;
     Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "atomic counter" `Quick test_atomic_counter;
     Alcotest.test_case "atomic counter parallel" `Quick test_atomic_counter_parallel;
