@@ -1127,12 +1127,6 @@ let serve_cmd =
     Arg.(value & opt int 0
          & info [ "workers" ] ~doc:"Serving pool size (0 = sequential)")
   in
-  let window =
-    Arg.(value & opt float 2.0
-         & info [ "batch-window-ms" ]
-             ~doc:"How long the oldest queued request may wait before a \
-                   partial micro-batch dispatches (0 = every loop turn)")
-  in
   let batch_max =
     Arg.(value & opt int 64 & info [ "batch-max" ] ~doc:"Max requests per micro-batch")
   in
@@ -1157,7 +1151,7 @@ let serve_cmd =
                    closed (counted in reload_failures, active model keeps \
                    serving).")
   in
-  let run listen workers window batch_max queue cache scale model_ckpt =
+  let run listen workers batch_max queue cache scale model_ckpt =
     let host, port = parse_addr ~what:"--listen" listen in
     let port = Option.value ~default:0 port in
     let lib, prims, rules = setup () in
@@ -1209,17 +1203,16 @@ let serve_cmd =
         { Genie_net.Daemon.default_config with
           host;
           port;
-          batch_window_ms = window;
           batch_max;
           queue_capacity = queue }
     in
     Genie_net.Daemon.install_signal_handlers d;
     Printf.printf
-      "genie-serve listening on %s:%d (model=%s workers=%d \
-       batch-window=%.1fms batch-max=%d queue=%d)\n%!"
+      "genie-serve listening on %s:%d (model=%s workers=%d batch-max=%d \
+       queue=%d)\n%!"
       host (Genie_net.Daemon.port d)
       (Genie_serve.Server.model_kind server)
-      workers window batch_max queue;
+      workers batch_max queue;
     Genie_net.Daemon.run d;
     Genie_serve.Server.shutdown server;
     let s = Genie_net.Daemon.stats d in
@@ -1240,7 +1233,7 @@ let serve_cmd =
           framed requests into the concurrent serving pool; SIGTERM drains \
           gracefully, SIGHUP hot-swaps the model re-read from --model-ckpt")
     Term.(
-      const run $ listen $ workers $ window $ batch_max $ queue $ cache $ scale
+      const run $ listen $ workers $ batch_max $ queue $ cache $ scale
       $ model_ckpt)
 
 let loadgen_cmd =

@@ -50,19 +50,6 @@ let admit t ~now_ns item =
     `Admitted
   end
 
-let due t ~now_ns ~window_ns =
-  match Queue.peek_opt t.q with
-  | None -> false
-  | Some (_, enq_ns) ->
-      t.is_draining
-      || Queue.length t.q >= t.batch_max
-      || now_ns -. enq_ns >= window_ns
-
-let next_deadline_ns t ~window_ns =
-  match Queue.peek_opt t.q with
-  | None -> None
-  | Some (_, enq_ns) -> Some (enq_ns +. window_ns)
-
 let record_wait t w =
   if t.wait_n < max_wait_samples then begin
     if t.wait_n >= Array.length t.wait_samples then begin

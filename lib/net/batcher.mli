@@ -2,12 +2,12 @@
     front end.
 
     Requests are admitted into one FIFO as they arrive off the sockets. The
-    dispatcher takes them out again in micro-batches: a batch becomes {!due}
-    when the queue holds [batch_max] requests, when the oldest waiting
-    request has aged past the batch window, or when the batcher is draining
-    (shutdown wants the queue empty, window be damned). One batch is then
-    served by one {!Genie_serve.Server.run_batch} call (through the worker
-    pool when there is one) while the event loop waits.
+    dispatcher takes them out again in micro-batches of at most
+    [batch_max], one {!take} per event-loop turn while anything is queued,
+    so a batch holds whatever arrived since the previous one was taken. One
+    batch is served by one
+    {!Genie_serve.Server.run_batch} call (through the worker pool when
+    there is one) while the event loop waits.
 
     The batcher is a passive, single-owner state machine over an injected
     clock: the daemon drives it from its event loop with real timestamps,
@@ -30,21 +30,12 @@ val admit : 'a t -> now_ns:float -> 'a -> [ `Admitted | `Shed | `Draining ]
 
 val pending : 'a t -> int
 
-val due : 'a t -> now_ns:float -> window_ns:float -> bool
-(** Whether {!take} should run now: queue at [batch_max], oldest item older
-    than [window_ns], or draining with work left. False on an empty queue. *)
-
-val next_deadline_ns : 'a t -> window_ns:float -> float option
-(** When the oldest queued item's window expires (its admission time plus
-    [window_ns]) — the select timeout that wakes the dispatcher exactly when
-    a batch becomes due. [None] when the queue is empty. *)
-
 val take : 'a t -> now_ns:float -> ('a * float) list
 (** Dequeues up to [batch_max] items in admission order, each with its
     queue wait in nanoseconds. Records the batch in the size histogram. *)
 
 val start_drain : 'a t -> unit
-(** Refuse all later {!admit}s; {!due} stays true until {!pending} is 0.
+(** Refuse all later {!admit}s; the items already queued stay for {!take}.
     Idempotent. *)
 
 val draining : 'a t -> bool

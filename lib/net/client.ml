@@ -23,16 +23,6 @@ let connect ?(host = "127.0.0.1") ?(retries = 50) ~port () =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   { fd; decoder = Frame.decoder (); open_ = true }
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let w = Unix.write fd b !off (n - !off) in
-    if w <= 0 then raise (Failure "Client: short write");
-    off := !off + w
-  done
-
 let fd t = t.fd
 
 let pump t =
@@ -63,7 +53,7 @@ let pump t =
 
 let send t msg =
   if not t.open_ then failwith "Client: closed";
-  write_all t.fd (Codec.encode msg)
+  Frame.write_all t.fd (Codec.encode msg)
 
 let send_request t req = send t (Codec.Request (Codec.wire_of_request req))
 

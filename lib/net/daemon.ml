@@ -14,7 +14,6 @@ module Json = Genie_util.Json_lite
 type config = {
   host : string;
   port : int;
-  batch_window_ms : float;
   batch_max : int;
   queue_capacity : int;
   max_connections : int;
@@ -23,7 +22,6 @@ type config = {
 let default_config =
   { host = "127.0.0.1";
     port = 0;
-    batch_window_ms = 2.0;
     batch_max = 64;
     queue_capacity = 1024;
     max_connections = 128 }
@@ -165,21 +163,11 @@ let close_conn t c =
     t.conns <- List.filter (fun c' -> c' != c) t.conns
   end
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let w = Unix.write fd b !off (n - !off) in
-    if w <= 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-    off := !off + w
-  done
-
 (* Returns [true] when the frame reached the wire. *)
 let send t c msg =
   if not c.alive then false
   else
-    match write_all c.fd (Codec.encode msg) with
+    match Frame.write_all c.fd (Codec.encode msg) with
     | () ->
         t.frames_out <- t.frames_out + 1;
         Probe.incr t.probe Probe.Net_frame_out;
@@ -480,58 +468,54 @@ let run t =
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let restore () = ignore (Sys.signal Sys.sigpipe old_pipe) in
   let buf = Bytes.create 65536 in
-  let window_ns = Float.max 0.0 t.config.batch_window_ms *. 1e6 in
+  (* Each turn reads every readable socket, then dispatches one batch of at
+     most batch_max if anything is queued: requests that arrive while a
+     batch is being served queue up and go out together on the next turn.
+     Select blocks only on an idle loop, for at most the 50 ms tick that
+     notices the drain and reload flags. *)
   (try
      while not t.finished do
-       if Atomic.get t.drain_flag && not (Batcher.draining t.batcher) then
+       if Atomic.get t.drain_flag && not (Batcher.draining t.batcher) then begin
+         (* Graceful drain: no new connections, no new admissions (requests
+            still in socket buffers are refused); the queue empties one
+            batch per turn, then every connection closes. *)
          Batcher.start_drain t.batcher;
-       if Batcher.draining t.batcher then begin
-         (* Graceful drain: no new connections, no new admissions; finish
-            the queue in batch_max-sized batches, flush every response,
-            close everything. *)
-         close_listener t;
-         while Batcher.pending t.batcher > 0 do
-           dispatch t ~now_ns:(Tracer.now_ns ())
-         done;
+         close_listener t
+       end;
+       let draining = Batcher.draining t.batcher in
+       (* reloads commit between dispatches; a daemon that is draining
+          ignores them (the remaining requests finish on the weights they
+          were admitted under) *)
+       if Atomic.get t.reload_flag && not draining then begin
+         Atomic.set t.reload_flag false;
+         do_reload t
+       end;
+       let timeout =
+         if draining || Batcher.pending t.batcher > 0 then 0.0 else 0.05
+       in
+       let read_fds =
+         (match t.listen_fd with Some fd -> [ fd ] | None -> [])
+         @ List.filter_map
+             (fun c -> if c.alive && c.reading then Some c.fd else None)
+             t.conns
+       in
+       (match Unix.select read_fds [] [] timeout with
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+       | ready, _, _ ->
+           List.iter
+             (fun fd ->
+               match t.listen_fd with
+               | Some l when fd = l -> accept_conn t l
+               | _ -> (
+                   match List.find_opt (fun c -> c.fd = fd) t.conns with
+                   | Some c when c.alive && c.reading -> read_conn t buf c
+                   | _ -> ()))
+             ready);
+       dispatch t ~now_ns:(Tracer.now_ns ());
+       if draining && Batcher.pending t.batcher = 0 then begin
          List.iter (fun c -> close_conn t c) t.conns;
          t.drained <- true;
          t.finished <- true
-       end
-       else begin
-         (* reloads commit between dispatches; a daemon that is draining
-            ignores them (the remaining requests finish on the weights they
-            were admitted under) *)
-         if Atomic.get t.reload_flag then begin
-           Atomic.set t.reload_flag false;
-           do_reload t
-         end;
-         let now_ns = Tracer.now_ns () in
-         if Batcher.due t.batcher ~now_ns ~window_ns then dispatch t ~now_ns;
-         let timeout =
-           match Batcher.next_deadline_ns t.batcher ~window_ns with
-           | None -> 0.05
-           | Some d ->
-               Float.max 0.0
-                 (Float.min 0.05 ((d -. Tracer.now_ns ()) /. 1e9))
-         in
-         let read_fds =
-           (match t.listen_fd with Some fd -> [ fd ] | None -> [])
-           @ List.filter_map
-               (fun c -> if c.alive && c.reading then Some c.fd else None)
-               t.conns
-         in
-         match Unix.select read_fds [] [] timeout with
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-         | ready, _, _ ->
-             List.iter
-               (fun fd ->
-                 match t.listen_fd with
-                 | Some l when fd = l -> accept_conn t l
-                 | _ -> (
-                     match List.find_opt (fun c -> c.fd = fd) t.conns with
-                     | Some c when c.alive && c.reading -> read_conn t buf c
-                     | _ -> ()))
-               ready
        end
      done
    with e ->

@@ -8,11 +8,12 @@
       ({!Frame}) into per-connection incremental decoders,
     - admits decoded requests into the bounded queue (answering [Shed] /
       draining refusals inline with an [overloaded] response),
-    - when a micro-batch comes due — queue at [batch_max], oldest request
-      older than the batch window, or draining — takes it and serves it
-      with {!Genie_serve.Server.run_batch}, which runs each request through
-      its own {!Genie_serve.Engine.process} call (so a response's
-      [rs_total_ns] includes its model decode),
+    - after each round of reads, takes at most [batch_max] queued requests
+      and serves them with {!Genie_serve.Server.run_batch}, which runs each
+      request through its own {!Genie_serve.Engine.process} call (so a
+      response's [rs_total_ns] includes its model decode). An idle daemon
+      dispatches a request in the turn that reads it; requests that arrive
+      while a batch is being served go out together in the next one,
     - writes each response frame back on the connection that sent the
       request (client request ids are scoped per connection; the daemon
       renumbers internally and restores the client's id on the way out).
@@ -20,9 +21,8 @@
     Graceful drain: {!request_drain} (also installed as the SIGTERM/SIGINT
     handler by {!install_signal_handlers}, and triggered remotely by a
     [Drain] frame) makes the loop stop accepting connections and admitting
-    requests, dispatch everything still queued — mid-window, partial
-    batches included — flush the response frames, close every socket, and
-    return from {!run}. Every admitted request is answered exactly once;
+    requests, dispatch everything still queued, flush the response frames,
+    close every socket, and return from {!run}. Every admitted request is answered exactly once;
     requests arriving after drain begins are refused, never dropped
     silently.
 
@@ -43,17 +43,13 @@
 type config = {
   host : string;  (** interface to bind, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
-  batch_window_ms : float;
-      (** how long the oldest queued request may wait before a partial
-          batch dispatches; 0 dispatches every select round *)
   batch_max : int;  (** max requests per micro-batch *)
   queue_capacity : int;  (** admission queue bound; beyond it, shed *)
   max_connections : int;  (** concurrent connections; beyond it, refuse *)
 }
 
 val default_config : config
-(** [127.0.0.1:0], 2 ms window, batch_max 64, capacity 1024, 128
-    connections. *)
+(** [127.0.0.1:0], batch_max 64, capacity 1024, 128 connections. *)
 
 type t
 

@@ -131,3 +131,17 @@ let read_into d ~read =
             go ())
   in
   go ()
+
+(* [Unix.single_write_substring], not [Unix.write]: [Unix.write] loops over
+   64 KiB chunks itself and, when a signal interrupts a later chunk, raises
+   EINTR without saying how much it already sent, so a retry could resend
+   bytes. One chunk per call keeps [off] exact. *)
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then
+      match Unix.single_write_substring fd s off (n - off) with
+      | w -> go (off + w)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0

@@ -14,8 +14,8 @@
     arbitrary byte chunks (however the socket delivered them — including one
     byte at a time) and yields complete frames in order. Nothing here
     touches file descriptors, so the whole protocol layer is testable
-    without sockets; {!read_into} is the one convenience bridge for callers
-    that do own an fd-shaped [read] function. *)
+    without sockets; {!read_into} and {!write_all} are the two bridges for
+    callers that own a socket. *)
 
 type t = { kind : int; payload : string }
 
@@ -67,3 +67,8 @@ val read_into :
 (** Pulls from [read buf len] (a [Unix.read]-shaped function returning 0 at
     end of stream) until a complete frame, end of stream ([Ok None] with
     {!pending_bytes}[ > 0] indicating truncation), or a framing error. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Writes every byte of the string, blocking as needed. A signal that
+    interrupts the write (EINTR) is retried, never reported; any other
+    error raises [Unix.Unix_error] with an unknown prefix already sent. *)

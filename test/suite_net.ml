@@ -231,6 +231,59 @@ let test_read_into_truncated_stream () =
       Alcotest.(check bool) "truncation detected" true (Frame.pending_bytes d > 0)
   | _ -> Alcotest.fail "expected EOF with pending bytes"
 
+(* A signal that lands while [write_all] is blocked on a full socket buffer
+   must cost neither the connection nor a byte. The buffer is filled before
+   the call, so its first write blocks before sending anything and the
+   periodic SIGALRM interrupts it with EINTR; the peer end is read only by
+   the signal handler. *)
+let test_write_all_retries_eintr () =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock r;
+  let sent = Buffer.create (1 lsl 21) in
+  let filler = String.make 4096 'f' in
+  Unix.set_nonblock w;
+  (try
+     while true do
+       let n = Unix.single_write_substring w filler 0 (String.length filler) in
+       Buffer.add_substring sent filler 0 n
+     done
+   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  Unix.clear_nonblock w;
+  let payload =
+    String.init (1 lsl 20) (fun i -> Char.chr (((i * 31) + (i lsr 8)) land 0xff))
+  in
+  Buffer.add_string sent payload;
+  let got = Buffer.create (Buffer.length sent) in
+  let chunk = Bytes.create 65536 in
+  let rec drain () =
+    match Unix.read r chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes got chunk 0 n;
+        drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  in
+  let ticks = ref 0 in
+  let timer every =
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = every; it_value = every })
+  in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> incr ticks; drain ())) in
+  let mask = Unix.sigprocmask Unix.SIG_UNBLOCK [ Sys.sigalrm ] in
+  timer 0.002;
+  let written = match Frame.write_all w payload with () -> Ok () | exception e -> Error e in
+  timer 0.0;
+  ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
+  Sys.set_signal Sys.sigalrm old;
+  Unix.close w;
+  drain ();
+  Unix.close r;
+  (match written with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write_all raised %s" (Printexc.to_string e));
+  Alcotest.(check bool) "the timer interrupted the write" true (!ticks > 0);
+  Alcotest.(check int) "every byte arrived" (Buffer.length sent) (Buffer.length got);
+  Alcotest.(check bool) "in order" true (Buffer.contents sent = Buffer.contents got)
+
 (* --- framing: QCheck ---------------------------------------------------------- *)
 
 let arb_frames_and_chunk =
@@ -426,26 +479,23 @@ let test_digest_order_independent () =
 
 (* --- batcher under a virtual clock -------------------------------------------- *)
 
-let test_batcher_window_and_batch_max () =
+let test_batcher_fifo_and_batch_max () =
   let b = Batcher.create ~capacity:100 ~batch_max:3 () in
-  let window_ns = 1000.0 in
-  Alcotest.(check bool) "empty not due" false (Batcher.due b ~now_ns:0.0 ~window_ns);
+  Alcotest.(check (list string)) "empty take" []
+    (List.map fst (Batcher.take b ~now_ns:0.0));
   (match Batcher.admit b ~now_ns:10.0 "a" with
   | `Admitted -> ()
   | _ -> Alcotest.fail "admit a");
-  Alcotest.(check bool) "young not due" false (Batcher.due b ~now_ns:500.0 ~window_ns);
-  Alcotest.(check (option (float 1e-9))) "deadline = enq + window"
-    (Some 1010.0)
-    (Batcher.next_deadline_ns b ~window_ns);
-  Alcotest.(check bool) "aged due" true (Batcher.due b ~now_ns:1010.0 ~window_ns);
   ignore (Batcher.admit b ~now_ns:20.0 "b");
   ignore (Batcher.admit b ~now_ns:30.0 "c");
-  (* batch_max reached: due regardless of age *)
-  Alcotest.(check bool) "full due" true (Batcher.due b ~now_ns:31.0 ~window_ns);
+  ignore (Batcher.admit b ~now_ns:40.0 "d");
   let batch = Batcher.take b ~now_ns:100.0 in
-  Alcotest.(check (list string)) "fifo order" [ "a"; "b"; "c" ]
+  Alcotest.(check (list string)) "fifo order, capped at batch_max" [ "a"; "b"; "c" ]
     (List.map fst batch);
   Alcotest.(check (float 1e-9)) "wait of a" 90.0 (snd (List.hd batch));
+  Alcotest.(check int) "the overflow waits" 1 (Batcher.pending b);
+  Alcotest.(check (list string)) "next turn" [ "d" ]
+    (List.map fst (Batcher.take b ~now_ns:100.0));
   Alcotest.(check int) "emptied" 0 (Batcher.pending b)
 
 let test_batcher_shed_at_capacity () =
@@ -466,13 +516,11 @@ let test_batcher_drain_refusal () =
   (match Batcher.admit b ~now_ns:1.0 2 with
   | `Draining -> ()
   | _ -> Alcotest.fail "expected draining refusal");
-  (* draining with work left: due with no age *)
-  Alcotest.(check bool) "draining due" true
-    (Batcher.due b ~now_ns:1.0 ~window_ns:1e12);
+  (* the item admitted before the drain stays queued for take *)
+  Alcotest.(check int) "queued through drain" 1 (Batcher.pending b);
   Alcotest.(check int) "only the admitted one" 1
     (List.length (Batcher.take b ~now_ns:2.0));
-  Alcotest.(check bool) "empty not due even draining" false
-    (Batcher.due b ~now_ns:3.0 ~window_ns:1e12)
+  Alcotest.(check int) "emptied while draining" 0 (Batcher.pending b)
 
 let test_batcher_histogram () =
   let b = Batcher.create ~capacity:100 ~batch_max:4 () in
@@ -539,6 +587,15 @@ let drain_exactly_once workers () =
 
 (* --- loopback: daemon + client ------------------------------------------------ *)
 
+(* [m] with a [predict] that sleeps [ns] first; its forks sleep too. *)
+let rec slow_model ~ns (m : Genie_parser_model.Model.t) =
+  { m with
+    Genie_parser_model.Model.predict =
+      (fun ?scope toks ->
+        Unix.sleepf (ns /. 1e9);
+        m.Genie_parser_model.Model.predict ?scope toks);
+    fork = (fun () -> slow_model ~ns (m.Genie_parser_model.Model.fork ())) }
+
 let with_daemon ?tracer ?tracer_slot ?model ?(workers = 0)
     ?(config = Daemon.default_config) f =
   let server = mk_server ?tracer ?model ~workers () in
@@ -598,9 +655,7 @@ let test_loopback_drain_mid_stream_exactly_once () =
     (fun workers ->
       let n = 40 in
       let d, _ =
-        with_daemon ~workers
-          ~config:{ Daemon.default_config with Daemon.batch_window_ms = 1.0 }
-          (fun d ->
+        with_daemon ~workers (fun d ->
             let c = Client.connect ~port:(Daemon.port d) () in
             (* one connection: TCP order guarantees the daemon reads all 40
                requests before the Drain frame, so all are admitted and all
@@ -636,16 +691,15 @@ let test_loopback_drain_mid_stream_exactly_once () =
 
 let test_loopback_stats_and_shed () =
   (* a queue of 2 with pipelined pressure on one connection: the daemon
-     must refuse the overflow with overloaded responses, never hang *)
+     must refuse the overflow with overloaded responses, never hang. Each
+     decode sleeps 50 ms, so the requests that arrive while the first batch
+     is being served find the queue full on the next read. *)
   let n = 10 in
   let d, _ =
     with_daemon
+      ~model:(slow_model ~ns:5e7 (Lazy.force model))
       ~config:
-        { Daemon.default_config with
-          Daemon.queue_capacity = 2;
-          (* a wide window so the queue really fills before a dispatch *)
-          batch_window_ms = 200.0;
-          batch_max = 2 }
+        { Daemon.default_config with Daemon.queue_capacity = 2; batch_max = 2 }
       (fun d ->
         let c = Client.connect ~port:(Daemon.port d) () in
         for i = 0 to n - 1 do
@@ -674,6 +728,26 @@ let test_loopback_stats_and_shed () =
   let s = Daemon.stats d in
   Alcotest.(check bool) "shed counted" true (s.Daemon.shed > 0);
   Alcotest.(check int) "all requests answered" n (s.Daemon.responses)
+
+(* An idle daemon dispatches a request as soon as it reads it: a client that
+   sends each request only after the previous answer sees sub-millisecond
+   queue waits, and every batch holds that one request. *)
+let test_loopback_idle_dispatches_at_once () =
+  let n = 20 in
+  let waits = ref [] in
+  let d, _ =
+    with_daemon (fun d ->
+        let c = Client.connect ~port:(Daemon.port d) () in
+        for i = 0 to n - 1 do
+          waits := (Client.rpc c (request i)).Codec.rs_queue_ns :: !waits
+        done;
+        Client.close c)
+  in
+  let median = Stat.percentile (Array.of_list !waits) 50.0 in
+  if median >= 1e6 then
+    Alcotest.failf "median queue wait %.0f ns, want under 1 ms" median;
+  Alcotest.(check (list (pair int int))) "every batch holds one request"
+    [ (1, n) ] (Daemon.stats d).Daemon.batch_histogram
 
 let test_loopback_protocol_error_kills_connection () =
   let d, _ =
@@ -743,15 +817,7 @@ let test_loopback_observability () =
    that much engine time, whatever the worker count. *)
 let test_loopback_decode_time_attributed () =
   let decode_ns = 5e6 in
-  let rec slow (m : Genie_parser_model.Model.t) =
-    { m with
-      Genie_parser_model.Model.predict =
-        (fun ?scope toks ->
-          Unix.sleepf (decode_ns /. 1e9);
-          m.Genie_parser_model.Model.predict ?scope toks);
-      fork = (fun () -> slow (m.Genie_parser_model.Model.fork ())) }
-  in
-  let model = slow (Lazy.force model) in
+  let model = slow_model ~ns:decode_ns (Lazy.force model) in
   let n = 12 in
   List.iter
     (fun workers ->
@@ -872,8 +938,8 @@ let suite =
       test_codec_rejects_truncated_payload;
     QCheck_alcotest.to_alcotest qcheck_codec_request_roundtrip;
     Alcotest.test_case "codec: digest semantics" `Quick test_digest_order_independent;
-    Alcotest.test_case "batcher: window and batch_max" `Quick
-      test_batcher_window_and_batch_max;
+    Alcotest.test_case "batcher: fifo and batch_max" `Quick
+      test_batcher_fifo_and_batch_max;
     Alcotest.test_case "batcher: shed at capacity" `Quick test_batcher_shed_at_capacity;
     Alcotest.test_case "batcher: drain refusal" `Quick test_batcher_drain_refusal;
     Alcotest.test_case "batcher: size histogram" `Quick test_batcher_histogram;
@@ -889,6 +955,8 @@ let suite =
       test_loopback_drain_mid_stream_exactly_once;
     Alcotest.test_case "loopback: shed and remote stats" `Quick
       test_loopback_stats_and_shed;
+    Alcotest.test_case "loopback: idle daemon dispatches at once" `Quick
+      test_loopback_idle_dispatches_at_once;
     Alcotest.test_case "loopback: protocol error kills connection" `Quick
       test_loopback_protocol_error_kills_connection;
     Alcotest.test_case "loopback: probes and spans" `Quick test_loopback_observability;
@@ -897,4 +965,6 @@ let suite =
     Alcotest.test_case "stats: fields the benchmark reads" `Quick
       test_stats_json_fields;
     Alcotest.test_case "server: cumulative throughput" `Quick
-      test_cumulative_throughput ]
+      test_cumulative_throughput;
+    Alcotest.test_case "frame: write_all retries EINTR" `Quick
+      test_write_all_retries_eintr ]
