@@ -4,9 +4,9 @@
 
    The contract — enforced by test/suite_compile.ml's differential suite —
    is byte-identity with the tree-walking interpreter in Exec: same results,
-   same env mutations, same RNG draw order (mock services for
-   non-monitorable functions draw once per generate call), same error
-   messages raised at the same evaluation point. Every runtime branch below
+   same per-run state (Exec.start / Exec.results), same RNG draw order
+   (mock services for non-monitorable functions draw once per generate
+   call), same error messages raised at the same evaluation point. Every runtime branch below
    mirrors a specific line of exec.ml; when editing one, edit both.
 
    A compiled program is specialized to the library it was compiled
@@ -43,12 +43,16 @@ type cinv = {
 }
 
 (* Mirrors the value grammar of Exec.default_value_for, specialized per
-   output-parameter type so the per-row hot path is hash + one closure. *)
+   output-parameter type so the per-row hot path is hash + one closure.
+   Strings are concatenated rather than formatted: Printf took about a
+   quarter of a serve-hot run's time. *)
 let compile_gen (p : Schema.param) : int -> Value.t =
   let name = p.Schema.p_name in
   let rec gen (ty : Ttype.t) : int -> Value.t =
     match ty with
-    | Ttype.String -> fun h -> Value.String (Printf.sprintf "%s item %d" name (h mod 97))
+    | Ttype.String ->
+        let pre = name ^ " item " in
+        fun h -> Value.String (pre ^ string_of_int (h mod 97))
     | Ttype.Number -> fun h -> Value.Number (float_of_int (h mod 1000))
     | Ttype.Boolean -> fun h -> Value.Boolean (h mod 2 = 0)
     | Ttype.Date ->
@@ -56,12 +60,19 @@ let compile_gen (p : Schema.param) : int -> Value.t =
           Value.Date
             (Value.D_absolute { year = 2019; month = 1 + (h mod 12); day = 1 + (h mod 28) })
     | Ttype.Time -> fun h -> Value.Time (h mod 24, h mod 60)
-    | Ttype.Location -> fun h -> Value.Location (Value.L_named (Printf.sprintf "place %d" (h mod 50)))
-    | Ttype.Path_name -> fun h -> Value.String (Printf.sprintf "/folder/file_%d.txt" (h mod 100))
-    | Ttype.Url -> fun h -> Value.String (Printf.sprintf "https://example.com/%d" (h mod 1000))
-    | Ttype.Picture -> fun h -> Value.String (Printf.sprintf "https://img.example.com/%d.jpg" (h mod 1000))
-    | Ttype.Phone_number -> fun h -> Value.String (Printf.sprintf "+1555%07d" (h mod 10000000))
-    | Ttype.Email_address -> fun h -> Value.String (Printf.sprintf "user%d@example.com" (h mod 1000))
+    | Ttype.Location ->
+        fun h -> Value.Location (Value.L_named ("place " ^ string_of_int (h mod 50)))
+    | Ttype.Path_name ->
+        fun h -> Value.String ("/folder/file_" ^ string_of_int (h mod 100) ^ ".txt")
+    | Ttype.Url -> fun h -> Value.String ("https://example.com/" ^ string_of_int (h mod 1000))
+    | Ttype.Picture ->
+        fun h -> Value.String ("https://img.example.com/" ^ string_of_int (h mod 1000) ^ ".jpg")
+    | Ttype.Phone_number ->
+        fun h ->
+          let n = string_of_int (h mod 10000000) in
+          Value.String ("+1555" ^ String.make (7 - String.length n) '0' ^ n)
+    | Ttype.Email_address ->
+        fun h -> Value.String ("user" ^ string_of_int (h mod 1000) ^ "@example.com")
     | Ttype.Currency -> fun h -> Value.Currency (float_of_int (h mod 500), "usd")
     | Ttype.Measure u -> fun h -> Value.Measure [ (float_of_int (h mod 100), u) ]
     | Ttype.Enum [] -> fun _ -> Value.Enum "none"
@@ -70,7 +81,8 @@ let compile_gen (p : Schema.param) : int -> Value.t =
         let len = Array.length arr in
         fun h -> Value.Enum arr.(h mod len)
     | Ttype.Entity ety ->
-        fun h -> Value.Entity { ty = ety; value = Printf.sprintf "%s %d" ety (h mod 200); display = None }
+        let pre = ety ^ " " in
+        fun h -> Value.Entity { ty = ety; value = pre ^ string_of_int (h mod 200); display = None }
     | Ttype.Array elt ->
         let ge = gen elt in
         fun h -> Value.Array [ ge h; ge h ]
@@ -133,14 +145,14 @@ let resolve_slots (bindings : record) (ci : cinv) : record =
 (* Mirrors Exec.eval_invocation: resolve args, look up a custom service by
    the precomputed key (falling back to the pre-resolved default), prepend
    the args to every row. *)
-let run_cinv (env : Exec.env) (bindings : record) (ci : cinv) : record list =
+let run_cinv (rs : Exec.state) (bindings : record) (ci : cinv) : record list =
   let args = resolve_slots bindings ci in
   let service =
-    match Hashtbl.find_opt env.Exec.services ci.ci_fn_str with
+    match Hashtbl.find_opt rs.Exec.env.Exec.services ci.ci_fn_str with
     | Some s -> s
     | None -> ci.ci_default
   in
-  let results = service.Exec.generate ~now:env.Exec.now ~rng:env.Exec.rng ~args in
+  let results = service.Exec.generate ~now:rs.Exec.now ~rng:rs.Exec.rng ~args in
   List.map (fun r -> args @ r) results
 
 (* --- predicate bytecode ----------------------------------------------------- *)
@@ -240,7 +252,7 @@ let op_name = function
 
 (* --- bytecode execution ----------------------------------------------------- *)
 
-let rec exec_pblock (tb : tables) (env : Exec.env) (record : record) (pb : pblock) : bool =
+let rec exec_pblock (tb : tables) (rs : Exec.state) (record : record) (pb : pblock) : bool =
   let code = pb.pb_code in
   let n = Array.length code in
   let stack = Array.make (max 1 pb.pb_stack) false in
@@ -266,7 +278,7 @@ let rec exec_pblock (tb : tables) (env : Exec.env) (record : record) (pb : pbloc
         let b =
           match List.assoc_opt a.at_lhs record with
           | None -> false
-          | Some v -> a.at_test ~now:env.Exec.now v
+          | Some v -> a.at_test ~now:rs.Exec.now v
         in
         push b;
         incr pc
@@ -275,8 +287,8 @@ let rec exec_pblock (tb : tables) (env : Exec.env) (record : record) (pb : pbloc
            predicate; rows are produced (and RNG consumed) lazily up to the
            first hit, like the interpreter's List.exists *)
         let e = tb.exts.(i) in
-        let results = run_cinv env record e.ex_inv in
-        let b = List.exists (fun r -> exec_pblock tb env r e.ex_pred) results in
+        let results = run_cinv rs record e.ex_inv in
+        let b = List.exists (fun r -> exec_pblock tb rs r e.ex_pred) results in
         push b;
         incr pc
     | PI_jfalse t -> if stack.(!sp - 1) then incr pc else pc := t
@@ -417,7 +429,7 @@ and add_ext ctx inv pred : int =
 
 (* --- query plans ------------------------------------------------------------ *)
 
-type qfun = Exec.env -> record -> record list
+type qfun = Exec.state -> record -> record list
 
 let qline ctx fmt =
   Printf.ksprintf
@@ -433,13 +445,13 @@ let rec compile_query ctx (q : Ast.query) : int * qfun =
   | Ast.Q_invoke inv ->
       let ci = add_inv ctx inv in
       let id = qline ctx "INVOKE i%d" ci.ci_id in
-      (id, fun env bindings -> run_cinv env bindings ci)
+      (id, fun rs bindings -> run_cinv rs bindings ci)
   | Ast.Q_filter (inner, p) ->
       let iid, fi = compile_query ctx inner in
       let pb = compile_pred ctx p in
       let id = qline ctx "FILTER q%d p%d" iid pb.pb_id in
       let tb = ctx.cx_tables in
-      (id, fun env bindings -> List.filter (fun r -> exec_pblock tb env r pb) (fi env bindings))
+      (id, fun rs bindings -> List.filter (fun r -> exec_pblock tb rs r pb) (fi rs bindings))
   | Ast.Q_join (a, b, on) ->
       let aid, fa = compile_query ctx a in
       let bid, fb = compile_query ctx b in
@@ -448,8 +460,8 @@ let rec compile_query ctx (q : Ast.query) : int * qfun =
           (String.concat "; " (List.map (fun (ip, op) -> ip ^ " <- " ^ op) on))
       in
       ( id,
-        fun env bindings ->
-          let results_a = fa env bindings in
+        fun rs bindings ->
+          let results_a = fa rs bindings in
           List.concat_map
             (fun ra ->
               let extra_bindings =
@@ -458,7 +470,7 @@ let rec compile_query ctx (q : Ast.query) : int * qfun =
                     match List.assoc_opt op ra with Some v -> Some (ip, v) | None -> None)
                   on
               in
-              let results_b = fb env (ra @ bindings) in
+              let results_b = fb rs (ra @ bindings) in
               let results_b =
                 if on = [] then results_b else List.map (fun rb -> extra_bindings @ rb) results_b
               in
@@ -472,16 +484,16 @@ let rec compile_query ctx (q : Ast.query) : int * qfun =
       | Ast.Agg_count, _ ->
           let id = qline ctx "AGG count q%d" iid in
           ( id,
-            fun env bindings ->
-              let results = fi env bindings in
+            fun rs bindings ->
+              let results = fi rs bindings in
               [ [ ("count", Value.Number (float_of_int (List.length results))) ] ] )
       | _, None ->
           let id = qline ctx "AGG <missing field> q%d" iid in
           ( id,
-            fun env bindings ->
+            fun rs bindings ->
               (* the interpreter evaluates the inner query (consuming RNG)
                  before discovering the malformed aggregate *)
-              let _results = fi env bindings in
+              let _results = fi rs bindings in
               rt_error "aggregate without a field" )
       | agg, Some f ->
           let agg_name =
@@ -494,11 +506,11 @@ let rec compile_query ctx (q : Ast.query) : int * qfun =
           in
           let id = qline ctx "AGG %s %s q%d" agg_name f iid in
           ( id,
-            fun env bindings ->
-              let results = fi env bindings in
+            fun rs bindings ->
+              let results = fi rs bindings in
               let nums =
                 List.filter_map
-                  (fun r -> Option.bind (List.assoc_opt f r) (Value.to_float ~now:env.Exec.now))
+                  (fun r -> Option.bind (List.assoc_opt f r) (Value.to_float ~now:rs.Exec.now))
                   results
               in
               if nums = [] then []
@@ -566,7 +578,7 @@ let new_records ~on_new ~prev ~cur =
   | None -> cur
   | Some prev -> List.filter (fun r -> not (List.exists (fun p -> project p = project r) prev)) cur
 
-let rec step_cstream (tb : tables) (env : Exec.env) (st : cstream) : record list =
+let rec step_cstream (tb : tables) (rs : Exec.state) (st : cstream) : record list =
   match st with
   | CS_now n ->
       if n.fired then []
@@ -574,7 +586,7 @@ let rec step_cstream (tb : tables) (env : Exec.env) (st : cstream) : record list
         n.fired <- true;
         [ [] ]
       end
-  | CS_attimer -> if Float.is_integer env.Exec.now then [ [] ] else []
+  | CS_attimer -> if Float.is_integer rs.Exec.now then [ [] ] else []
   | CS_timer t ->
       let start =
         match t.start with
@@ -582,27 +594,27 @@ let rec step_cstream (tb : tables) (env : Exec.env) (st : cstream) : record list
         | None ->
             let s =
               match t.base with
-              | Value.Date d -> Value.date_to_days ~now:env.Exec.now d
-              | _ -> env.Exec.now
+              | Value.Date d -> Value.date_to_days ~now:rs.Exec.now d
+              | _ -> rs.Exec.now
             in
             t.start <- Some s;
             s
       in
-      let elapsed = env.Exec.now -. start in
+      let elapsed = rs.Exec.now -. start in
       if elapsed < -1e-9 then []
       else
         let k = elapsed /. t.interval_days in
         if Float.abs (k -. Float.round k) < 1e-9 then [ [] ] else []
   | CS_monitor m ->
-      let cur = m.q env [] in
+      let cur = m.q rs [] in
       let fresh = new_records ~on_new:m.on_new ~prev:m.prev ~cur in
       m.prev <- Some cur;
       fresh
   | CS_edge e ->
-      let inner_events = step_cstream tb env e.inner in
+      let inner_events = step_cstream tb rs e.inner in
       List.filter_map
         (fun r ->
-          let now_true = exec_pblock tb env r e.pred in
+          let now_true = exec_pblock tb rs r e.pred in
           let fires = now_true && not e.prev in
           e.prev <- now_true;
           if fires then Some r else None)
@@ -612,11 +624,11 @@ let rec step_cstream (tb : tables) (env : Exec.env) (st : cstream) : record list
 
 type caction = CA_notify | CA_invoke of cinv
 
-let exec_caction (env : Exec.env) ~(bindings : record) = function
-  | CA_notify -> env.Exec.notifications <- env.Exec.notifications @ [ bindings ]
+let exec_caction (rs : Exec.state) ~(bindings : record) = function
+  | CA_notify -> rs.Exec.notifications <- bindings :: rs.Exec.notifications
   | CA_invoke ci ->
       let args = resolve_slots bindings ci in
-      env.Exec.side_effects <- env.Exec.side_effects @ [ (ci.ci_fn, args) ]
+      rs.Exec.side_effects <- (ci.ci_fn, args) :: rs.Exec.side_effects
 
 (* --- compiled programs ------------------------------------------------------ *)
 
@@ -723,10 +735,11 @@ let compile lib (program : Ast.program) : t =
 
 (* Mirrors the Exec.run driver loop over the compiled plans. *)
 let run ?(ticks = 1) ?(step = 1.0) (env : Exec.env) (t : t) =
+  let rs = Exec.start env in
   let st = t.new_stream () in
   for tick = 0 to ticks - 1 do
-    env.Exec.now <- float_of_int tick *. step;
-    let events = step_cstream t.tables env st in
+    rs.Exec.now <- float_of_int tick *. step;
+    let events = step_cstream t.tables rs st in
     List.iter
       (fun event ->
         let rows =
@@ -735,11 +748,11 @@ let run ?(ticks = 1) ?(step = 1.0) (env : Exec.env) (t : t) =
           | Some fq ->
               List.map
                 (fun r -> List.filter (fun (n, _) -> not (List.mem_assoc n r)) event @ r)
-                (fq env event)
+                (fq rs event)
         in
-        List.iter (fun row -> exec_caction env ~bindings:row t.action) rows)
+        List.iter (fun row -> exec_caction rs ~bindings:row t.action) rows)
       events
   done;
-  (env.Exec.notifications, env.Exec.side_effects)
+  Exec.results rs
 
 let exec_compiled ?ticks ?step env program = run ?ticks ?step env (compile env.Exec.lib program)

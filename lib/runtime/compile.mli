@@ -3,8 +3,8 @@
     pre-resolved Thingpedia schemas and pre-bound parameter slots.
 
     Compiled execution is byte-identical to the tree-walking interpreter
-    {!Exec}: same results, same {!Exec.env} mutations (notifications and
-    side effects accumulate across runs on a shared env), same RNG draw
+    {!Exec}: same results, the same per-run {!Exec.state} (a fresh clock,
+    RNG and accumulators per run), same RNG draw
     order for the default mock services, and the same {!Exec.Runtime_error}
     messages raised at the same evaluation points. The differential QCheck
     suite in test/suite_compile.ml and the snapshot goldens under
@@ -29,9 +29,9 @@ val compile : Schema.Library.t -> Ast.program -> t
 
 val run :
   ?ticks:int -> ?step:float -> Exec.env -> t -> Exec.record list * (Ast.Fn.t * Exec.record) list
-(** [run ~ticks env t] advances the virtual clock exactly like
-    {!Exec.run} (fresh stream state per call, typecheck already paid at
-    compile time) and returns the env's accumulated notifications and side
+(** [run ~ticks env t] advances a fresh virtual clock exactly like
+    {!Exec.run} (fresh run and stream state per call, typecheck already
+    paid at compile time) and returns this run's notifications and side
     effects. *)
 
 val exec_compiled :

@@ -18,9 +18,17 @@ type service = {
     now:float -> rng:Genie_util.Rng.t -> args:(string * Value.t) list -> record list;
 }
 
+(* Read-only between runs: everything a run mutates lives in its [state]. *)
 type env = {
   lib : Schema.Library.t;
   services : (string, service) Hashtbl.t;
+  seed : int;
+}
+
+(* One run's mutable state. The accumulators are newest-first and reversed
+   once when the run ends. *)
+type state = {
+  env : env;
   mutable now : float; (* virtual day count *)
   rng : Genie_util.Rng.t;
   mutable notifications : record list;
@@ -83,13 +91,18 @@ let default_service lib fn : service =
                 List.map (fun p -> (p.Schema.p_name, default_value_for ~fn ~row ~bucket p)) outs))
   }
 
-let create ?(seed = 42) lib =
-  { lib;
-    services = Hashtbl.create 64;
+let create ?(seed = 42) lib = { lib; services = Hashtbl.create 64; seed }
+
+(* Every run draws from the stream a fresh env's RNG would: a run depends on
+   (env seed, program, ticks) only, never on the runs before it. *)
+let start env =
+  { env;
     now = 0.0;
-    rng = Genie_util.Rng.create seed;
+    rng = Genie_util.Rng.create env.seed;
     notifications = [];
     side_effects = [] }
+
+let results rs = (List.rev rs.notifications, List.rev rs.side_effects)
 
 let register_service env fn service =
   Hashtbl.replace env.services (Ast.Fn.to_string fn) service
@@ -114,14 +127,14 @@ let string_of_value_raw = function
   | Value.Enum e -> Some e
   | _ -> None
 
-let rec eval_predicate env (record : record) (p : Ast.predicate) : bool =
-  let now = env.now in
+let rec eval_predicate rs (record : record) (p : Ast.predicate) : bool =
+  let now = rs.now in
   match p with
   | Ast.P_true -> true
   | Ast.P_false -> false
-  | Ast.P_not p -> not (eval_predicate env record p)
-  | Ast.P_and ps -> List.for_all (eval_predicate env record) ps
-  | Ast.P_or ps -> List.exists (eval_predicate env record) ps
+  | Ast.P_not p -> not (eval_predicate rs record p)
+  | Ast.P_and ps -> List.for_all (eval_predicate rs record) ps
+  | Ast.P_or ps -> List.exists (eval_predicate rs record) ps
   | Ast.P_atom { lhs; op; rhs } -> (
       match lookup record lhs with
       | None -> false
@@ -129,8 +142,8 @@ let rec eval_predicate env (record : record) (p : Ast.predicate) : bool =
   | Ast.P_external { inv; pred } ->
       (* the predicate holds if some result of the external query satisfies
          the inner predicate *)
-      let results = eval_invocation env ~bindings:record inv in
-      List.exists (fun r -> eval_predicate env r pred) results
+      let results = eval_invocation rs ~bindings:record inv in
+      List.exists (fun r -> eval_predicate rs r pred) results
 
 and eval_atom ~now (v : Value.t) (op : Ast.comp_op) (rhs : Value.t) : bool =
   let str_op f =
@@ -159,7 +172,7 @@ and eval_atom ~now (v : Value.t) (op : Ast.comp_op) (rhs : Value.t) : bool =
 
 (* --- query evaluation ------------------------------------------------------ *)
 
-and resolve_in_params _env ~bindings (inv : Ast.invocation) : (string * Value.t) list =
+and resolve_in_params ~bindings (inv : Ast.invocation) : (string * Value.t) list =
   List.map
     (fun (ip : Ast.in_param) ->
       match ip.ip_value with
@@ -170,20 +183,20 @@ and resolve_in_params _env ~bindings (inv : Ast.invocation) : (string * Value.t)
           | None -> error "unbound output parameter %s" out_name))
     inv.in_params
 
-and eval_invocation env ~bindings (inv : Ast.invocation) : record list =
-  let args = resolve_in_params env ~bindings inv in
-  let service = service_for env inv.fn in
-  let results = service.generate ~now:env.now ~rng:env.rng ~args in
+and eval_invocation rs ~bindings (inv : Ast.invocation) : record list =
+  let args = resolve_in_params ~bindings inv in
+  let service = service_for rs.env inv.fn in
+  let results = service.generate ~now:rs.now ~rng:rs.rng ~args in
   (* input parameters are also visible downstream (e.g. folder_name) *)
   List.map (fun r -> args @ r) results
 
-and eval_query env ~bindings (q : Ast.query) : record list =
+and eval_query rs ~bindings (q : Ast.query) : record list =
   match q with
-  | Ast.Q_invoke inv -> eval_invocation env ~bindings inv
+  | Ast.Q_invoke inv -> eval_invocation rs ~bindings inv
   | Ast.Q_filter (inner, p) ->
-      List.filter (fun r -> eval_predicate env r p) (eval_query env ~bindings inner)
+      List.filter (fun r -> eval_predicate rs r p) (eval_query rs ~bindings inner)
   | Ast.Q_join (a, b, on) ->
-      let results_a = eval_query env ~bindings a in
+      let results_a = eval_query rs ~bindings a in
       List.concat_map
         (fun ra ->
           (* parameter passing from the left operand into the right *)
@@ -195,7 +208,7 @@ and eval_query env ~bindings (q : Ast.query) : record list =
                 | None -> None)
               on
           in
-          let results_b = eval_query env ~bindings:(ra @ bindings) b in
+          let results_b = eval_query rs ~bindings:(ra @ bindings) b in
           let results_b =
             if on = [] then results_b
             else
@@ -207,14 +220,14 @@ and eval_query env ~bindings (q : Ast.query) : record list =
             results_b)
         results_a
   | Ast.Q_aggregate { op; field; inner } -> (
-      let results = eval_query env ~bindings inner in
+      let results = eval_query rs ~bindings inner in
       match (op, field) with
       | Ast.Agg_count, _ -> [ [ ("count", Value.Number (float_of_int (List.length results))) ] ]
       | _, None -> error "aggregate without a field"
       | agg, Some f ->
           let nums =
             List.filter_map
-              (fun r -> Option.bind (lookup r f) (Value.to_float ~now:env.now))
+              (fun r -> Option.bind (lookup r f) (Value.to_float ~now:rs.now))
               results
           in
           if nums = [] then []
@@ -269,12 +282,12 @@ let new_records ~on_new ~prev ~cur =
   | Some prev -> List.filter (fun r -> not (List.exists (fun p -> project p = project r) prev)) cur
 
 (* One tick: the events (each a record of bindings) the stream emits now. *)
-let rec step_stream env (st : stream_state) : record list =
+let rec step_stream rs (st : stream_state) : record list =
   match st with
   | St_now n -> if n.fired then [] else (n.fired <- true; [ [] ])
   | St_attimer _ ->
       (* fires once per virtual day *)
-      if Float.is_integer env.now then [ [] ] else []
+      if Float.is_integer rs.now then [ [] ] else []
   | St_timer t ->
       (* the base date is resolved once, when the program starts *)
       let start =
@@ -283,28 +296,28 @@ let rec step_stream env (st : stream_state) : record list =
         | None ->
             let s =
               match t.base with
-              | Value.Date d -> Value.date_to_days ~now:env.now d
-              | _ -> env.now
+              | Value.Date d -> Value.date_to_days ~now:rs.now d
+              | _ -> rs.now
             in
             t.start <- Some s;
             s
       in
       let interval_days = t.interval_days in
-      let elapsed = env.now -. start in
+      let elapsed = rs.now -. start in
       if elapsed < -1e-9 then []
       else
         let k = elapsed /. interval_days in
         if Float.abs (k -. Float.round k) < 1e-9 then [ [] ] else []
   | St_monitor m ->
-      let cur = eval_query env ~bindings:[] m.query in
+      let cur = eval_query rs ~bindings:[] m.query in
       let fresh = new_records ~on_new:m.on_new ~prev:m.prev ~cur in
       m.prev <- Some cur;
       fresh
   | St_edge e ->
-      let inner_events = step_stream env e.inner in
+      let inner_events = step_stream rs e.inner in
       List.filter_map
         (fun r ->
-          let now_true = eval_predicate env r e.pred in
+          let now_true = eval_predicate rs r e.pred in
           let fires = now_true && not e.prev in
           e.prev <- now_true;
           if fires then Some r else None)
@@ -312,24 +325,25 @@ let rec step_stream env (st : stream_state) : record list =
 
 (* --- whole programs --------------------------------------------------------- *)
 
-let execute_action env ~bindings (a : Ast.action) =
+let execute_action rs ~bindings (a : Ast.action) =
   match a with
-  | Ast.A_notify -> env.notifications <- env.notifications @ [ bindings ]
+  | Ast.A_notify -> rs.notifications <- bindings :: rs.notifications
   | Ast.A_invoke inv ->
-      let args = resolve_in_params env ~bindings inv in
-      env.side_effects <- env.side_effects @ [ (inv.fn, args) ]
+      let args = resolve_in_params ~bindings inv in
+      rs.side_effects <- (inv.fn, args) :: rs.side_effects
 
 (* Runs [program] for [ticks] steps of the virtual clock (one step = one
-   virtual day by default). Returns the accumulated notifications and side
-   effects. *)
+   virtual day by default) in a fresh run state. Returns this run's
+   notifications and side effects, in order. *)
 let run ?(ticks = 1) ?(step = 1.0) env (program : Ast.program) =
   (match Typecheck.check_program env.lib program with
   | Ok () -> ()
   | Error e -> error "ill-typed program: %s" e);
+  let rs = start env in
   let st = init_stream_state program.stream in
   for tick = 0 to ticks - 1 do
-    env.now <- float_of_int tick *. step;
-    let events = step_stream env st in
+    rs.now <- float_of_int tick *. step;
+    let events = step_stream rs st in
     List.iter
       (fun event ->
         let rows =
@@ -338,9 +352,11 @@ let run ?(ticks = 1) ?(step = 1.0) env (program : Ast.program) =
           | Some q ->
               List.map
                 (fun r -> List.filter (fun (n, _) -> not (List.mem_assoc n r)) event @ r)
-                (eval_query env ~bindings:event q)
+                (eval_query rs ~bindings:event q)
         in
-        List.iter (fun row -> execute_action env ~bindings:row program.action) rows)
+        List.iter (fun row -> execute_action rs ~bindings:row program.action) rows)
       events
   done;
-  (env.notifications, env.side_effects)
+  results rs
+
+let eval_predicate env record p = eval_predicate (start env) record p

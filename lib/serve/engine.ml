@@ -44,10 +44,9 @@ type t = {
   ccache : Genie_runtime.Compile_cache.t;  (* worker-private, like [cache] *)
 }
 
-let create ~lib ~model ~cache_capacity ~metrics ~worker ?seed
+let create ~lib ~model ~cache_capacity ~metrics ~worker ~seed
     ?(fault = Fault.none) ?(tracer = Tracer.disabled) ?(compiled = true)
     ?compile_cache_capacity () =
-  let seed = Option.value seed ~default:worker in
   let model = model.Model.fork () in
   let ccache_capacity = Option.value compile_cache_capacity ~default:cache_capacity in
   { lib;

@@ -3,11 +3,12 @@
     per-stage timing, deadline enforcement and fault-injection hooks.
 
     An engine owns everything a request touches that is not thread-safe: a
-    private LRU parse cache, a private {!Genie_runtime.Exec.env}, and a
-    private {!Genie_parser_model.Model.fork} of the (otherwise shared,
-    read-only) model whose predict-time scratch is per-fork. Each engine
-    must only ever be driven from one domain at a time; metrics are shared
-    and atomic. *)
+    private LRU parse cache and a private {!Genie_parser_model.Model.fork}
+    of the (otherwise shared, read-only) model whose predict-time scratch
+    is per-fork. Its {!Genie_runtime.Exec.env} is only read: each execution
+    runs in its own state, so its result depends on the request alone, not
+    on what the engine ran before. Each engine must only ever be driven
+    from one domain at a time; metrics are shared and atomic. *)
 
 open Genie_thingtalk
 
@@ -19,14 +20,15 @@ val create :
   cache_capacity:int ->
   metrics:Metrics.t ->
   worker:int ->
-  ?seed:int ->
+  seed:int ->
   ?fault:Genie_conc.Fault.t ->
   ?tracer:Genie_observe.Tracer.t ->
   ?compiled:bool ->
   ?compile_cache_capacity:int ->
   unit ->
   t
-(** [seed] (default [worker]) seeds the engine's runtime environment.
+(** [seed] seeds the engine's runtime environment; a server gives every
+    engine the same seed.
     [fault] (default {!Genie_conc.Fault.none}) is the engine's injection schedule.
     [tracer] (default {!Genie_observe.Tracer.disabled}) receives per-stage
     spans in slot [worker]; always-on {!Genie_observe.Probe} counters on

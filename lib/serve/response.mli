@@ -42,8 +42,8 @@ type t = {
   attempts : int;  (** 1 + the number of retries this response took *)
   worker : int;  (** index of the engine that served (or would have served)
                      the request *)
-  notifications : int;  (** execution: notification count *)
-  side_effects : int;  (** execution: side-effect count *)
+  notifications : int;  (** execution: this request's run's notification count *)
+  side_effects : int;  (** execution: this request's run's side-effect count *)
   error : string option;  (** parse/runtime error detail, if any *)
   timing : timing;
 }

@@ -121,7 +121,7 @@ let create ~lib ~model ?(cache_capacity = 4096) ?(workers = 0)
   let engines =
     Array.init n_engines (fun w ->
         Engine.create ~lib ~model ~cache_capacity ~metrics ~worker:w
-          ~seed:(seed + w) ~fault ~tracer ~compiled ?compile_cache_capacity ())
+          ~seed ~fault ~tracer ~compiled ?compile_cache_capacity ())
   in
   let pool =
     if workers >= 2 then

@@ -85,7 +85,9 @@ val create :
   unit ->
   t
 (** Defaults: [cache_capacity] 4096 (per worker), [workers] 0 (sequential),
-    [queue_capacity] 64 per worker, [seed] 0, [fault] {!Genie_conc.Fault.none},
+    [queue_capacity] 64 per worker, [seed] 0 (the execution seed, the same
+    for every engine, so executed responses do not depend on the worker
+    count), [fault] {!Genie_conc.Fault.none},
     [admission_capacity] unlimited, [degrade] true, [max_retries] 2,
     [retry_backoff_ms] 1, [tracer] {!Genie_observe.Tracer.disabled},
     [compiled] true (execute requests run through {!Genie_runtime.Compile}

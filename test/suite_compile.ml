@@ -231,18 +231,21 @@ let test_differential_random () =
     check_differential (Printf.sprintf "seed %d" seed) ~seed:(1000 + seed) ~ticks p
   done
 
-(* the same env executed repeatedly accumulates notifications/side effects;
-   compiled runs must mutate identically *)
-let test_differential_accumulation () =
+(* every run on an env starts from the same state: rounds 2 and 3 on one
+   env repeat round 1 and a fresh env's run, on both paths *)
+let test_differential_repeated_runs_pure () =
   let p = Parser.parse_program "monitor (@com.gmail.inbox()) => notify;" in
   let l = Lazy.force lib in
   let env_i = Exec.create ~seed:7 l in
   let env_c = Exec.create ~seed:7 l in
   let c = Compile.compile l p in
+  let fresh = render_result (Exec.run ~ticks:4 (Exec.create ~seed:7 l) p) in
   for round = 1 to 3 do
     let i = render_result (Exec.run ~ticks:4 env_i p) in
     let cr = render_result (Compile.run ~ticks:4 env_c c) in
-    Alcotest.(check string) (Printf.sprintf "round %d accumulated state" round) i cr
+    Alcotest.(check string) (Printf.sprintf "round %d: compiled = interpreted" round) i cr;
+    Alcotest.(check string) (Printf.sprintf "round %d: interpreted = fresh env" round) fresh i;
+    Alcotest.(check string) (Printf.sprintf "round %d: compiled = fresh env" round) fresh cr
   done
 
 (* custom services registered on the env override the pre-resolved default *)
@@ -494,8 +497,8 @@ let suite =
     Alcotest.test_case
       (Printf.sprintf "differential: %d random programs" differential_count)
       `Slow test_differential_random;
-    Alcotest.test_case "differential: env accumulation across runs" `Quick
-      test_differential_accumulation;
+    Alcotest.test_case "differential: repeated runs on one env are pure" `Quick
+      test_differential_repeated_runs_pure;
     Alcotest.test_case "differential: custom services honored" `Quick
       test_differential_custom_service;
     Alcotest.test_case "error parity: ill-typed programs" `Quick test_error_parity_ill_typed;

@@ -615,7 +615,13 @@ let with_daemon ?tracer ?tracer_slot ?model ?(workers = 0)
 
 let test_loopback_digest_matches_in_process () =
   let n = 24 in
-  let reqs = List.init n request in
+  (* two in three requests execute: their notification and side-effect
+     counts are in the digest and must not depend on the worker count *)
+  let reqs =
+    List.init n (fun i ->
+        if i mod 3 = 0 then request i
+        else Request.make ~execute:true ~ticks:(1 + (i mod 4)) ~id:i (utterance i))
+  in
   (* ground truth: the same requests served in process *)
   let expected =
     let server = mk_server () in

@@ -164,6 +164,39 @@ let test_deterministic () =
   let r2 = run ~seed:9 ~ticks:5 "monitor (@com.gmail.inbox()) => notify;" in
   Alcotest.(check bool) "same seed, same trace" true (r1 = r2)
 
+(* A run is a function of (env seed, program, ticks): runs on one env, in any
+   order, repeat what a fresh env gives, on the interpreted and the compiled
+   path. The cat picture draws from the RNG, the monitor uses the virtual
+   clock, the tweet is a side effect. *)
+let test_runs_on_one_env_are_pure () =
+  let programs =
+    List.map parse
+      [ "now => @com.thecatapi.get() => notify;";
+        "monitor (@com.gmail.inbox()) => notify;";
+        "monitor (@com.gmail.inbox()) => @com.twitter.post(status = \"hi\");" ]
+  in
+  let fresh p = Genie_runtime.Exec.run ~ticks:3 (Genie_runtime.Exec.create ~seed:9 lib) p in
+  let paths =
+    [ ("interpreted", fun env p -> Genie_runtime.Exec.run ~ticks:3 env p);
+      ( "compiled",
+        fun env p -> Genie_runtime.Compile.run ~ticks:3 env (Genie_runtime.Compile.compile lib p)
+      ) ]
+  in
+  List.iter
+    (fun (path, run_on) ->
+      let env = Genie_runtime.Exec.create ~seed:9 lib in
+      List.iteri
+        (fun round () ->
+          List.iteri
+            (fun i p ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: round %d, program %d = fresh env" path round i)
+                true
+                (run_on env p = fresh p))
+            programs)
+        [ (); (); () ])
+    paths
+
 let suite =
   [ Alcotest.test_case "now query notify" `Quick test_now_query_notify;
     Alcotest.test_case "single-result query" `Quick test_single_result_query;
@@ -183,4 +216,5 @@ let suite =
     Alcotest.test_case "param passing to action" `Quick test_param_passing_to_action;
     Alcotest.test_case "external predicate" `Quick test_external_predicate;
     Alcotest.test_case "ill-typed rejected" `Quick test_ill_typed_rejected;
-    Alcotest.test_case "deterministic execution" `Quick test_deterministic ]
+    Alcotest.test_case "deterministic execution" `Quick test_deterministic;
+    Alcotest.test_case "runs on one env are pure" `Quick test_runs_on_one_env_are_pure ]

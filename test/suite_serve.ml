@@ -75,6 +75,28 @@ let cross_path_digest (r : Response.t) =
     (Option.value ~default:"-" r.Response.program_text)
     r.Response.attempts
 
+(* what a response reports of its own run *)
+let run_fields (r : Response.t) =
+  Printf.sprintf "notif=%d fx=%d err=%s" r.Response.notifications
+    r.Response.side_effects
+    (Option.value ~default:"-" r.Response.error)
+
+(* everything deterministic about an executed response, execution results
+   included — the compiled path must reproduce all of it byte for byte *)
+let exec_digest r = digest r ^ " " ^ run_fields r
+
+(* the subset of an executed response that must agree at every worker count
+   and in every arrival order *)
+let cross_path_exec_digest r = cross_path_digest r ^ " " ^ run_fields r
+
+let exec_requests n seed =
+  List.map
+    (fun (r : Request.t) ->
+      Request.make ~execute:true
+        ~ticks:(1 + (r.Request.id mod 4))
+        ~id:r.Request.id r.Request.utterance)
+    (Traffic.generate ~rng:(Genie_util.Rng.create seed) ~utterances:utterances n)
+
 (* --- parse cache -------------------------------------------------------------- *)
 
 let test_lru_eviction_order () =
@@ -268,9 +290,7 @@ let test_pool_fault_hook_drops () =
 
 let test_pool_matches_sequential () =
   let model = Lazy.force model in
-  let requests =
-    Traffic.generate ~rng:(Genie_util.Rng.create 11) ~utterances:utterances 60
-  in
+  let requests = exec_requests 60 11 in
   let seq = Server.create ~lib ~model () in
   let seq_responses = Server.run_batch seq requests in
   let pooled = Server.create ~lib ~model ~workers:3 ~queue_capacity:8 () in
@@ -287,7 +307,8 @@ let test_pool_matches_sequential () =
       Alcotest.(check (option string)) "same program" a.Response.program_text
         b.Response.program_text;
       Alcotest.(check (list string)) "same nn tokens" a.Response.nn_tokens
-        b.Response.nn_tokens)
+        b.Response.nn_tokens;
+      Alcotest.(check string) "same run" (run_fields a) (run_fields b))
     seq_responses pooled_responses;
   (* key-sharding means the pooled run decodes each distinct key exactly
      once, like the sequential run *)
@@ -680,9 +701,7 @@ let mixed_fault =
 
 let test_fault_schedule_repeatable () =
   let model = Lazy.force model in
-  let requests =
-    Traffic.generate ~rng:(Genie_util.Rng.create 11) ~utterances:utterances 40
-  in
+  let requests = exec_requests 40 11 in
   let run ~workers () =
     let server =
       Server.create ~lib ~model ~workers ~queue_capacity:8
@@ -694,15 +713,15 @@ let test_fault_schedule_repeatable () =
   in
   (* same configuration, fresh server: byte-identical outcomes *)
   Alcotest.(check (list string)) "sequential runs identical"
-    (List.map digest (run ~workers:0 ()))
-    (List.map digest (run ~workers:0 ()));
+    (List.map exec_digest (run ~workers:0 ()))
+    (List.map exec_digest (run ~workers:0 ()));
   Alcotest.(check (list string)) "pooled runs identical"
-    (List.map digest (run ~workers:3 ()))
-    (List.map digest (run ~workers:3 ()));
+    (List.map exec_digest (run ~workers:3 ()))
+    (List.map exec_digest (run ~workers:3 ()));
   (* and the schedule's outcomes do not depend on the worker count *)
   Alcotest.(check (list string)) "pooled = sequential under faults"
-    (List.map cross_path_digest (run ~workers:0 ()))
-    (List.map cross_path_digest (run ~workers:3 ()))
+    (List.map cross_path_exec_digest (run ~workers:0 ()))
+    (List.map cross_path_exec_digest (run ~workers:3 ()))
 
 let test_pooled_faults_account_for_every_request () =
   let model = Lazy.force model in
@@ -857,21 +876,6 @@ let test_server_execute_and_stats () =
 
 (* --- compiled execution path -------------------------------------------------------- *)
 
-(* everything deterministic about an executed response, execution results
-   included — the compiled path must reproduce all of it byte for byte *)
-let exec_digest (r : Response.t) =
-  Printf.sprintf "%s notif=%d fx=%d err=%s" (digest r) r.Response.notifications
-    r.Response.side_effects
-    (Option.value ~default:"-" r.Response.error)
-
-let exec_requests n seed =
-  List.map
-    (fun (r : Request.t) ->
-      Request.make ~execute:true
-        ~ticks:(1 + (r.Request.id mod 4))
-        ~id:r.Request.id r.Request.utterance)
-    (Traffic.generate ~rng:(Genie_util.Rng.create seed) ~utterances:utterances n)
-
 (* Compiled execution (bytecode + compiled-program cache) must be
    observationally identical to the tree-walking interpreter: same statuses,
    same notification/side-effect counts, same errors — sequential or pooled,
@@ -950,6 +954,35 @@ let test_compiled_cache_thrash_identical () =
   Alcotest.(check (list string)) "capacity 0 = capacity 64" roomy off;
   Alcotest.(check bool) "capacity 1 evicts" true (st.Server.compile_evictions > 0);
   Alcotest.(check int) "capacity 0 caches nothing" 0 s0.Server.compile_entries
+
+(* Execution is a function of the request alone: a seeded stream of executed
+   requests, in any arrival order, compiled or interpreted, at any worker
+   count, gives every request id the response the sequential interpreter
+   gives it in stream order. *)
+let qcheck_exec_worker_invariant =
+  let print (seed, order) = Printf.sprintf "traffic seed %d, order seed %d" seed order in
+  QCheck.Test.make
+    ~name:"executed responses: same per id at 0/1/2/4 workers, any order, both paths"
+    ~count:10
+    (QCheck.make ~print QCheck.Gen.(pair (int_range 1 100_000) (int_range 1 100_000)))
+    (fun (seed, order) ->
+      let model = Lazy.force model in
+      let requests = exec_requests 24 seed in
+      let run ~workers ~compiled reqs =
+        let server = Server.create ~lib ~model ~workers ~queue_capacity:16 ~compiled () in
+        let rs = Server.run_batch server reqs in
+        Server.shutdown server;
+        List.map cross_path_exec_digest rs
+      in
+      let expected = run ~workers:0 ~compiled:false requests in
+      let shuffled = Genie_util.Rng.shuffle (Genie_util.Rng.create order) requests in
+      List.for_all
+        (fun (workers, compiled) ->
+          let got = run ~workers ~compiled shuffled in
+          got = expected
+          || QCheck.Test.fail_reportf "%d workers, compiled=%b:\n%s\nexpected:\n%s" workers
+               compiled (String.concat "\n" got) (String.concat "\n" expected))
+        (List.concat_map (fun w -> [ (w, false); (w, true) ]) [ 0; 1; 2; 4 ]))
 
 (* Regression: the serve hot path must stringify each distinct program once
    (memoized next to the cached parse), not once per request — cached
@@ -1068,6 +1101,7 @@ let suite =
       test_compiled_matches_interpreted;
     Alcotest.test_case "compiled = interpreted under faults" `Quick
       test_compiled_matches_interpreted_under_faults;
+    QCheck_alcotest.to_alcotest qcheck_exec_worker_invariant;
     Alcotest.test_case "compiled cache thrash identical" `Quick
       test_compiled_cache_thrash_identical;
     Alcotest.test_case "no re-stringify on cache hit" `Quick
