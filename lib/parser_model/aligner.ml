@@ -293,7 +293,74 @@ let sentence_ngrams tokens = Genie_util.Tok.all_ngrams 3 tokens
 let value_words (v : Value.t) =
   Genie_util.Tok.tokenize (Genie_thingpedia.Prim.render_value ~quote:false v)
 
-let train_example t rng (e : Genie_dataset.Example.t) =
+(* Alignment pairs awaiting [count_pairs]: every sentence n-gram interned to
+   an int id, and per skeleton atom (first-seen order, newest first) the id
+   arrays of the training sentences whose skeleton contains it. *)
+type pending_pairs = {
+  gram_ids : (string, int) Hashtbl.t;
+  mutable atom_order : (string * int array list ref) list;
+  by_atom : (string, int array list ref) Hashtbl.t;
+}
+
+let pending_pairs () =
+  { gram_ids = Hashtbl.create 16384; atom_order = []; by_atom = Hashtbl.create 1024 }
+
+let gram_id pending g =
+  match Hashtbl.find_opt pending.gram_ids g with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length pending.gram_ids in
+      Hashtbl.replace pending.gram_ids g id;
+      id
+
+let defer_pairs pending atom ids =
+  match Hashtbl.find_opt pending.by_atom atom with
+  | Some cell -> cell := ids :: !cell
+  | None ->
+      let cell = ref [ ids ] in
+      Hashtbl.replace pending.by_atom atom cell;
+      pending.atom_order <- (atom, cell) :: pending.atom_order
+
+(* The alignment pair counts: per atom, its sentences' n-gram ids are summed
+   into one dense row and each touched cell becomes one "atom || ngram" entry,
+   so the table is written once per distinct pair. The counts are integers,
+   so it holds exactly the (key, count) multiset that adding 1 per (atom,
+   n-gram occurrence) would. *)
+let count_pairs pending =
+  let n = Hashtbl.length pending.gram_ids in
+  let grams = Array.make n "" in
+  Hashtbl.iter (fun g id -> grams.(id) <- g) pending.gram_ids;
+  let row = Array.make n 0 and touched = Array.make n 0 in
+  let each_pair f =
+    List.iter
+      (fun (atom, sentences) ->
+        let k = ref 0 in
+        List.iter
+          (fun ids ->
+            for i = 0 to Array.length ids - 1 do
+              let id = ids.(i) in
+              if row.(id) = 0 then begin
+                touched.(!k) <- id;
+                incr k
+              end;
+              row.(id) <- row.(id) + 1
+            done)
+          !sentences;
+        for i = 0 to !k - 1 do
+          let id = touched.(i) in
+          f atom id row.(id);
+          row.(id) <- 0
+        done)
+      (List.rev pending.atom_order)
+  in
+  let distinct = ref 0 in
+  each_pair (fun _ _ _ -> incr distinct);
+  let pairs = Genie_util.Counter.create ~size:!distinct () in
+  each_pair (fun atom id count ->
+      Genie_util.Counter.add ~weight:(float_of_int count) pairs (pair_key atom grams.(id)));
+  pairs
+
+let train_example t pending rng (e : Genie_dataset.Example.t) =
   let norm =
     Genie_dataset.Argument_id.normalize
       (List.filter (fun tok -> tok <> "\"") e.Genie_dataset.Example.tokens)
@@ -302,15 +369,16 @@ let train_example t rng (e : Genie_dataset.Example.t) =
   let sk = Skeleton.of_program ~options:t.cfg.options t.lib program in
   register_skeleton t sk ~weight:1.0 ~lm:false;
   register_clauses t program ~lm:false;
-  (* lexical alignment between sentence n-grams and skeleton atoms *)
+  (* lexical alignment between sentence n-grams and skeleton atoms; the
+     pairs themselves are counted by [count_pairs] *)
   let grams = sentence_ngrams norm.Genie_dataset.Argument_id.tokens in
-  let atoms = Skeleton.atoms sk in
   List.iter (fun g -> Genie_util.Counter.add t.ngram_counts g) grams;
+  let ids = Array.of_list (List.map (gram_id pending) grams) in
   List.iter
     (fun a ->
       Genie_util.Counter.add t.atom_counts a;
-      List.iter (fun g -> Genie_util.Counter.add t.pair_counts (pair_key a g)) grams)
-    atoms;
+      defer_pairs pending a ids)
+    (Skeleton.atoms sk);
   (* copy statistics: which words fill which parameter *)
   List.iter
     (fun s ->
@@ -367,9 +435,10 @@ let derive t =
 let train ?(cfg = default_config) lib (examples : Genie_dataset.Example.t list) : t =
   let t = create ~cfg lib in
   let rng = Genie_util.Rng.create cfg.seed in
+  let pending = pending_pairs () in
   pretrain_lm t;
-  List.iter (fun e -> train_example t rng e) examples;
-  derive t
+  List.iter (fun e -> train_example t pending rng e) examples;
+  derive { t with pair_counts = count_pairs pending }
 
 (* --- scoring ------------------------------------------------------------------ *)
 
@@ -1127,56 +1196,48 @@ let cfg t = t.cfg
 
 (* 16-hex digest over the statistical tables a prediction can depend on:
    inventory priors, clause fragments, alignment and copy counters, and the
-   decoding-relevant config. Every table is folded in sorted key order, so
-   the digest is independent of hash-table iteration order (OCAMLRUNPARAM=R
-   safe) and of how the model was built, shared or copied. Left out: the
+   decoding-relevant config. Each table entry is hashed on its own (key,
+   values, and a clause's atoms) and a table contributes its size and the
+   sum of its entry hashes mod 2^64, so the digest is independent of
+   hash-table iteration order (OCAMLRUNPARAM=R safe) and of how the model
+   was built, shared or copied, without sorting anything. Left out: the
    sentence memo, and the indexes derived from the counted tables
    ([by_function], [functions], each skeleton's [features]). Equal digests
    mean the models answer every sentence identically -- the serve layer's
    hot-swap uses this as the parse-cache invalidation key and the
    active-model identity in stats. *)
 let digest (t : t) =
-  let h = ref (Genie_util.Hash64.string 0L "genie.aligner") in
-  let add_s s = h := Genie_util.Hash64.string !h s in
-  let add_f f = h := Genie_util.Hash64.combine !h (Int64.bits_of_float f) in
-  let add_i i = h := Genie_util.Hash64.int !h i in
-  let sorted_keys tbl =
-    List.sort_uniq compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+  let module H = Genie_util.Hash64 in
+  let h = ref (H.string 0L "genie.aligner") in
+  let add_i i = h := H.int !h i in
+  let num h f = H.combine h (Int64.bits_of_float f) in
+  let entry k = H.string 0L k in
+  let table tag iter =
+    let sum = ref 0L and n = ref 0 in
+    iter (fun eh ->
+        sum := Int64.add !sum eh;
+        incr n);
+    h := H.combine (H.int (H.string !h tag) !n) !sum
   in
   add_i t.trained_examples;
   add_i t.cfg.seed;
   add_i t.cfg.beam;
   add_i t.cfg.max_candidates;
   add_i t.cfg.gazette_size;
-  add_s "inventory";
-  List.iter
-    (fun k ->
-      let e = Hashtbl.find t.inventory k in
-      add_s k;
-      add_f e.count;
-      add_f e.lm_count)
-    (sorted_keys t.inventory);
+  table "inventory" (fun add ->
+      Hashtbl.iter (fun k e -> add (num (num (entry k) e.count) e.lm_count)) t.inventory);
   let clause_table tag tbl =
-    add_s tag;
-    List.iter
-      (fun k ->
-        let e = Hashtbl.find tbl k in
-        add_s k;
-        List.iter add_s e.atoms;
-        add_f e.c_count;
-        add_f e.c_lm)
-      (sorted_keys tbl)
+    table tag (fun add ->
+        Hashtbl.iter
+          (fun k e ->
+            add (num (num (List.fold_left H.string (entry k) e.atoms) e.c_count) e.c_lm))
+          tbl)
   in
   clause_table "streams" t.streams;
   clause_table "queries" t.queries;
   clause_table "actions" t.actions;
   let counter tag c =
-    add_s tag;
-    List.iter
-      (fun (k, v) ->
-        add_s k;
-        add_f v)
-      (List.sort compare (Genie_util.Counter.to_list c))
+    table tag (fun add -> Genie_util.Counter.iter (fun k v -> add (num (entry k) v)) c)
   in
   counter "ngram" t.ngram_counts;
   counter "atom" t.atom_counts;
@@ -1184,4 +1245,4 @@ let digest (t : t) =
   counter "slot_word" t.slot_word_counts;
   counter "slot_param" t.slot_param_counts;
   counter "slot_value" t.slot_value_counts;
-  Genie_util.Hash64.to_hex !h
+  H.to_hex !h

@@ -96,6 +96,12 @@ val train :
     canonicalizes (or deliberately shuffles, for the ablation) each program,
     and accumulates inventory, clause, alignment and copy statistics.
 
+    Alignment pairs are counted once per distinct pair: each sentence's
+    n-grams are interned to ids and recorded under every atom of its
+    skeleton; after the last example, each atom's id arrays are summed
+    into one dense row and every touched cell is written to [pair_counts]
+    once. The counts equal one per (atom, n-gram occurrence) pair.
+
     Each skeleton's scoring {!features} are computed once, when it enters
     the inventory, and [train] ends by sorting each function atom's
     skeletons by training count ([functions]), so a decode spends no time
@@ -193,7 +199,9 @@ val cfg : t -> config
 val digest : t -> string
 (** 16-hex digest over every statistical table a prediction can depend on
     (inventory, clause fragments, alignment and copy counters, decoding
-    config), folded in sorted key order — stable under randomized hash
-    seeds and across shallow copies. Equal digests mean the models answer
+    config). Each entry is hashed on its own and a table contributes its
+    size and the sum of its entry hashes mod 2{^64}, so the digest takes
+    linear time, needs no sort, and is the same under randomized hash seeds,
+    in any insertion order and across shallow copies. Equal digests mean the models answer
     every sentence identically; the serve layer uses this as the active
     model's identity for cache invalidation and stats. *)

@@ -47,7 +47,6 @@ let of_seq2seq ?options ?max_len ~lib model =
       match Nn_syntax.of_tokens ?options lib toks with
       | p -> Some p
       | exception Nn_syntax.Parse_error _ -> None
-      | exception _ -> None
     in
     { program; nn_tokens = toks; score = logp }
   in

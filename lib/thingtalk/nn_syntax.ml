@@ -287,6 +287,21 @@ let starts_with ~prefix s = Genie_util.Tok.starts_with ~prefix s
 
 let strip_prefix ~prefix s = String.sub s (String.length prefix) (String.length s - String.length prefix)
 
+(* Malformed function names, operators and numbers are this decoder's
+   [Parse_error], not the constructors' [Invalid_argument] or [Failure]. *)
+let fn_of_token tok =
+  match Fn.of_string tok with
+  | fn -> fn
+  | exception Invalid_argument _ -> fail "malformed function %s" tok
+
+let op_of_token tok =
+  match comp_op_of_string tok with
+  | op -> op
+  | exception Invalid_argument _ -> fail "expected comparison operator, got %s" tok
+
+let int_of_token tok =
+  match int_of_string_opt tok with Some n -> n | None -> fail "expected integer, got %s" tok
+
 (* param:name or param:name:Type -> name *)
 let param_name tok =
   if not (starts_with ~prefix:"param:" tok) then fail "expected param token, got %s" tok;
@@ -362,13 +377,13 @@ let rec parse_value ~entities st : Value.t =
       | [ y; m; d ] ->
           Value.Date
             (Value.D_absolute
-               { year = int_of_string y; month = int_of_string m; day = int_of_string d })
+               { year = int_of_token y; month = int_of_token m; day = int_of_token d })
       | _ -> fail "bad date token %s" t
     end
     else if starts_with ~prefix:"time:" t then begin
       ignore (next st);
       match Genie_util.Tok.split_on_string ~sep:":" (strip_prefix ~prefix:"time:" t) with
-      | [ h; m ] -> Value.Time (int_of_string h, int_of_string m)
+      | [ h; m ] -> Value.Time (int_of_token h, int_of_token m)
       | _ -> fail "bad time token %s" t
     end
     else if t = "location:" then begin
@@ -392,7 +407,8 @@ let rec parse_value ~entities st : Value.t =
           match resolve_entity ~entities n with
           | Value.Number x -> x
           | _ -> fail "currency amount slot is not a number"
-        else float_of_string n
+        else if is_number_token n then float_of_string n
+        else fail "expected currency amount, got %s" n
       in
       Value.Currency (n, code)
     end
@@ -425,7 +441,7 @@ let rec parse_value ~entities st : Value.t =
 let parse_invocation ~options ~entities lib st : invocation =
   let fn_tok = next st in
   if not (starts_with ~prefix:"@" fn_tok) then fail "expected function, got %s" fn_tok;
-  let fn = Fn.of_string fn_tok in
+  let fn = fn_of_token fn_tok in
   if options.keyword_params then begin
     let rec params acc =
       if starts_with ~prefix:"param:" (peek st) && peek2 st = "=" then begin
@@ -523,7 +539,7 @@ and parse_pred_atom ~options ~entities lib st =
       P_external { inv; pred = p }
   | t when starts_with ~prefix:"param:" t ->
       let lhs = param_name (next st) in
-      let op = comp_op_of_string (next st) in
+      let op = op_of_token (next st) in
       let rhs = parse_value ~entities st in
       P_atom { lhs; op; rhs }
   | t -> fail "expected predicate, got %s" t

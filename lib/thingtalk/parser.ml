@@ -193,8 +193,12 @@ let parse_in_param st =
 let parse_invocation st =
   match peek st with
   | Lexer.FNREF f ->
+      let fn =
+        match Fn.of_string f with
+        | fn -> fn
+        | exception Invalid_argument _ -> fail st "malformed function reference"
+      in
       advance st;
-      let fn = Fn.of_string f in
       expect st Lexer.LPAREN;
       let rec params acc =
         if accept st Lexer.RPAREN then List.rev acc

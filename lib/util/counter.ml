@@ -6,7 +6,7 @@
 type cell = { mutable n : float }
 type t = { tbl : (string, cell) Hashtbl.t; mutable total : float }
 
-let create () = { tbl = Hashtbl.create 64; total = 0.0 }
+let create ?(size = 64) () = { tbl = Hashtbl.create size; total = 0.0 }
 
 let add ?(weight = 1.0) t key =
   (match Hashtbl.find t.tbl key with

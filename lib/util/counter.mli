@@ -3,7 +3,8 @@
 
 type t
 
-val create : unit -> t
+val create : ?size:int -> unit -> t
+(** [size] (default 64) is the expected number of distinct keys. *)
 
 val add : ?weight:float -> t -> string -> unit
 (** Adds [weight] (default 1.0) to a key's count. *)

@@ -212,6 +212,117 @@ let test_aligner_shared_across_domains () =
   Alcotest.(check string) "first domain" sequential (prediction_digest r1);
   Alcotest.(check string) "second domain" sequential (prediction_digest r2)
 
+(* --- aligner training and identity ------------------------------------------ *)
+
+module Aligner = Genie_parser_model.Aligner
+module Counter = Genie_util.Counter
+
+(* The serving daemon's model: a scale-0.2 pipeline. *)
+let serve_artifacts = lazy (Pipeline.run ~cfg:(Config.scaled 0.2 Config.default) ~lib ~prims ~rules ())
+
+(* The alignment pair counts as [Aligner.train] once wrote them: 1 per
+   (skeleton atom, sentence n-gram occurrence) pair of every example. *)
+let reference_pair_counts (cfg : Aligner.config) examples =
+  let pairs = Counter.create () in
+  List.iter
+    (fun (e : Genie_dataset.Example.t) ->
+      let norm =
+        Genie_dataset.Argument_id.normalize
+          (List.filter (fun tok -> tok <> "\"") e.Genie_dataset.Example.tokens)
+      in
+      let program = Canonical.normalize lib e.Genie_dataset.Example.program in
+      let sk = Genie_parser_model.Skeleton.of_program ~options:cfg.Aligner.options lib program in
+      let grams = Aligner.sentence_ngrams norm.Genie_dataset.Argument_id.tokens in
+      List.iter
+        (fun a -> List.iter (fun g -> Counter.add pairs (a ^ " || " ^ g)) grams)
+        (Genie_parser_model.Skeleton.atoms sk))
+    examples;
+  pairs
+
+let check_pair_counts name (model : Aligner.t) examples =
+  let expected = reference_pair_counts model.Aligner.cfg examples in
+  let got = model.Aligner.pair_counts in
+  Alcotest.(check int) (name ^ ": distinct pairs") (Counter.distinct expected) (Counter.distinct got);
+  Alcotest.(check (float 0.0)) (name ^ ": total") (Counter.total expected) (Counter.total got);
+  Counter.iter
+    (fun k v -> if Counter.count got k <> v then Alcotest.failf "%s: count of %S" name k)
+    expected
+
+let test_pair_counts_match_reference () =
+  let a = Lazy.force serve_artifacts in
+  check_pair_counts "scale 0.2" a.Pipeline.model a.Pipeline.train;
+  (* an n-gram a sentence repeats is counted once per occurrence *)
+  let mk sentence src =
+    Genie_dataset.Example.make ~id:0 ~tokens:(Genie_util.Tok.tokenize sentence)
+      ~program:(Parser.parse_program src) ~source:Genie_dataset.Example.Synthesized ()
+  in
+  let examples =
+    [ mk "cat cat cat picture" "now => @com.thecatapi.get() => notify;";
+      mk "get a cat picture , a cat picture" "now => @com.thecatapi.get() => notify;";
+      mk "emails from bob bob" "now => (@com.gmail.inbox()) filter sender_name == \"bob\" => notify;";
+      mk "emails emails" "now => @com.gmail.inbox() => notify;" ]
+  in
+  check_pair_counts "repeated n-grams" (Aligner.train lib examples) examples
+
+let copy_counter ?(skip = "") c =
+  let c' = Counter.create () in
+  List.iter (fun (k, v) -> if k <> skip then Counter.add ~weight:v c' k) (List.rev (Counter.to_list c));
+  c'
+
+let copy_table ?(map = fun _ e -> e) tbl =
+  let tbl' = Hashtbl.create 1 in
+  List.iter
+    (fun (k, e) -> Hashtbl.replace tbl' k (map k e))
+    (List.rev (Hashtbl.fold (fun k e acc -> (k, e) :: acc) tbl []));
+  tbl'
+
+(* Every table rebuilt from a reversed walk of its entries, so entries land
+   in a different insertion order and bucket layout. *)
+let rebuild ?(atom_counts = fun c -> copy_counter c) ?(ngram_counts = fun c -> copy_counter c)
+    ?(pair_counts = fun c -> copy_counter c) ?(queries = fun t -> copy_table t) (m : Aligner.t) =
+  { m with
+    Aligner.inventory = copy_table m.Aligner.inventory;
+    ngram_counts = ngram_counts m.Aligner.ngram_counts;
+    atom_counts = atom_counts m.Aligner.atom_counts;
+    pair_counts = pair_counts m.Aligner.pair_counts;
+    slot_word_counts = copy_counter m.Aligner.slot_word_counts;
+    slot_param_counts = copy_counter m.Aligner.slot_param_counts;
+    slot_value_counts = copy_counter m.Aligner.slot_value_counts;
+    streams = copy_table m.Aligner.streams;
+    queries = queries m.Aligner.queries;
+    actions = copy_table m.Aligner.actions }
+
+let test_digest_is_order_free () =
+  let m = (Lazy.force serve_artifacts).Pipeline.model in
+  let d = Aligner.digest m in
+  Alcotest.(check string) "rebuilt in reverse order" d (Aligner.digest (rebuild m));
+  let differs what m' =
+    if Aligner.digest m' = d then Alcotest.failf "%s leaves the digest unchanged" what
+  in
+  let pair, _ = List.hd (Counter.to_list m.Aligner.pair_counts) in
+  differs "one pair count +1"
+    (rebuild m ~pair_counts:(fun c ->
+         let c' = copy_counter c in
+         Counter.add c' pair;
+         c'));
+  let atom, n = List.hd (Counter.to_list m.Aligner.atom_counts) in
+  differs "an atom_counts key moved to ngram_counts"
+    (rebuild m
+       ~atom_counts:(fun c -> copy_counter ~skip:atom c)
+       ~ngram_counts:(fun c ->
+         let c' = copy_counter c in
+         Counter.add ~weight:n c' atom;
+         c'));
+  let renamed = ref false in
+  differs "one clause atom renamed"
+    (rebuild m ~queries:(fun t ->
+         copy_table t ~map:(fun _ (e : Aligner.clause_entry) ->
+             match e.Aligner.atoms with
+             | a :: rest when not !renamed ->
+                 renamed := true;
+                 { e with Aligner.atoms = (a ^ "'") :: rest }
+             | _ -> e)))
+
 let test_tacl_case_study_plumbing () =
   (* one miniature TACL training run end-to-end *)
   let tacl_lib = Genie_core.Case_studies.tacl_library () in
@@ -239,4 +350,7 @@ let suite =
     Alcotest.test_case "tacl case-study plumbing" `Slow test_tacl_case_study_plumbing;
     Alcotest.test_case "golden aligner predictions" `Slow test_aligner_predict_golden;
     Alcotest.test_case "aligner shared across domains" `Slow
-      test_aligner_shared_across_domains ]
+      test_aligner_shared_across_domains;
+    Alcotest.test_case "pair counts match the per-example count" `Slow
+      test_pair_counts_match_reference;
+    Alcotest.test_case "aligner digest is order-free" `Slow test_digest_is_order_free ]

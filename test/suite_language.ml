@@ -144,6 +144,19 @@ let test_parse_errors () =
   fails "now => @com.gmail.inbox() => notify; trailing";
   fails "now => (@com.gmail.inbox()) filter sender_name == => notify;"
 
+(* A function reference without a class used to escape as Ast.Fn.of_string's
+   Invalid_argument. *)
+let test_parse_malformed_function () =
+  let src = "now => @ashboard() => notify;" in
+  (match parse src with
+  | exception Parser.Error _ -> ()
+  | _ -> Alcotest.fail ("expected Parser.Error: " ^ src));
+  Alcotest.(check bool) "parse_program_opt" true (Parser.parse_program_opt src = None);
+  let bad_op = "now => (@com.gmail.inbox()) filter sender_name in \"bob\" => notify;" in
+  match parse bad_op with
+  | exception Parser.Error _ -> ()
+  | _ -> Alcotest.fail ("expected Parser.Error: " ^ bad_op)
+
 let test_measure_lexing () =
   let p = parse "now => (@com.dropbox.list_folder()) filter file_size > 10MB => notify;" in
   match Ast.program_predicates p with
@@ -240,6 +253,8 @@ let suite =
     Alcotest.test_case "parse/print roundtrips" `Quick test_parse_roundtrips;
     Alcotest.test_case "parse policy" `Quick test_parse_policy;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "malformed function is a parse error" `Quick
+      test_parse_malformed_function;
     Alcotest.test_case "measure lexing" `Quick test_measure_lexing;
     Alcotest.test_case "typecheck accepts" `Quick test_typecheck_accepts;
     Alcotest.test_case "typecheck rejects" `Quick test_typecheck_rejects;

@@ -99,6 +99,22 @@ let test_well_formed () =
     (Nn_syntax.well_formed lib
        [ "now"; "=>"; "@com.twitter.post"; "=>"; "notify" ])
 
+(* Malformed function names, operators and integers used to escape as the
+   constructors' Invalid_argument or Failure. *)
+let test_malformed_tokens () =
+  let rejects src =
+    match Nn_syntax.of_string lib src with
+    | exception Nn_syntax.Parse_error _ -> ()
+    | _ -> Alcotest.fail ("expected Parse_error: " ^ src)
+  in
+  rejects "now => @ashboard => notify";
+  rejects "now => @com.gmail.inbox filter param:sender_name ~= \" bob \" => notify";
+  rejects "now => @com.gmail.inbox filter param:date >= date:2020:x:1 => notify";
+  rejects "now => @com.gmail.inbox filter param:date >= time:7:x => notify";
+  rejects "now => @com.gmail.inbox filter param:sender_name == currency:usd x => notify";
+  Alcotest.(check bool) "not well-formed" false
+    (Nn_syntax.well_formed lib [ "now"; "=>"; "@ashboard"; "=>"; "notify" ])
+
 (* property: roundtrip over the synthesized pool *)
 let program_pool =
   lazy
@@ -143,5 +159,6 @@ let suite =
     Alcotest.test_case "type annotation option" `Quick test_type_annotations_option;
     Alcotest.test_case "positional option" `Quick test_positional_option;
     Alcotest.test_case "well-formedness check" `Quick test_well_formed;
+    Alcotest.test_case "malformed tokens are parse errors" `Quick test_malformed_tokens;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_positional_roundtrip ]

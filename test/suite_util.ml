@@ -139,6 +139,28 @@ let test_affix_no_alloc () =
     true
     (used -. base < 1000.0)
 
+(* Values of Hash64.string fixed before its loop was rewritten: corpus,
+   codec and trace digests all depend on them. *)
+let hash_4k = String.init 4096 (fun i -> Char.chr (i land 255))
+
+let test_hash64_string_values () =
+  let hex s = Hash64.to_hex (Hash64.string 0L s) in
+  Alcotest.(check string) "empty" "0000000000000000" (hex "");
+  Alcotest.(check string) "genie.aligner" "90d7701b146f8865" (hex "genie.aligner");
+  Alcotest.(check string) "4 KB" "783fa9aa73be7ac6" (hex hash_4k)
+
+let test_hash64_string_no_alloc () =
+  let words s =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Hash64.string 0L s));
+    Gc.minor_words () -. before
+  in
+  (* the returned Int64 is boxed once, whatever the length *)
+  let base = words "" in
+  let used = words hash_4k in
+  Alcotest.(check (float 0.0)) "hashing 4 KB allocates no more than hashing \"\"" 0.0
+    (used -. base)
+
 let test_counter () =
   let c = Counter.create () in
   Counter.add c "x";
@@ -277,6 +299,8 @@ let suite =
     Alcotest.test_case "string helpers" `Quick test_string_helpers;
     Alcotest.test_case "affix edge cases" `Quick test_affix_edges;
     Alcotest.test_case "affix tests do not allocate" `Quick test_affix_no_alloc;
+    Alcotest.test_case "hash64 string values" `Quick test_hash64_string_values;
+    Alcotest.test_case "hash64 string does not allocate" `Quick test_hash64_string_no_alloc;
     Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "atomic counter" `Quick test_atomic_counter;
     Alcotest.test_case "atomic counter parallel" `Quick test_atomic_counter_parallel;
